@@ -101,7 +101,7 @@ def _cmd_count(args) -> int:
     for q in _q_list(args):
         F = make_field(q)
         if args.method == "reduced":
-            rep = count_reduced(P, F, G.edge_count)
+            rep = count_reduced(P, F, G.edge_count, budget=args.budget)
         elif args.torus:
             rep = count_zeros_torus([P], F, G.edge_count, budget=args.budget, threads=args.threads)
         else:

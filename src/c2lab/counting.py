@@ -1,10 +1,12 @@
 """Exhaustive and reduction-based point counting over small finite fields.
 
 Counts are exact Python integers; residues are derived from the raw count,
-never computed by wraparound.  The brute-force kernel enumerates the point
-lattice in blocks, vectorized with numpy: direct modular arithmetic for
-prime q, table lookups for prime powers.  Parallel runs split the outer
-assignments into ordered chunks, so totals are independent of the schedule.
+never computed by wraparound.  One lattice walker, ``_walk``, enumerates
+the points in blocks for every brute-force count, parametric here and
+position-space in ``quadrics``; each constraint supplies a block evaluator,
+vectorized with numpy: direct modular arithmetic for prime q, table lookups
+for prime powers.  Parallel runs split the outer assignments into ordered
+chunks, so totals are independent of the schedule.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .multipoly import MLPoly, phi
 
 DEFAULT_BUDGET = 10**8
 _BLOCK_TARGET = 1 << 16
+_WINDOW = 40000  # int64 terms summed between reductions mod p
 
 
 @dataclass(frozen=True)
@@ -71,19 +75,17 @@ def _inner_columns(values: np.ndarray, b: int):
     return cols
 
 
-def _compile(polys, var_index: dict):
-    compiled = []
-    for P in polys:
-        monos = [(c, tuple(var_index[v] for v in m)) for m, c in P.terms()]
-        compiled.append(monos)
-    return compiled
+def _wide(pos, p: int) -> bool:
+    """Whether _WINDOW unreduced products of this monomial (a scalar and
+    len(pos) factors, each below p) could sum past the int64 range."""
+    return _WINDOW * (p - 1) ** (len(pos) + 1) + p >= 2**63
 
 
-def _eval_block_prime(monos, outer, cols, n_outer, p):
+def _eval_block_prime(monos, p, outer, cols, n_outer):
     block = len(cols[0]) if cols else 1
     acc = np.zeros(block, dtype=np.int64)
     pending = 0
-    for coeff, pos in monos:
+    for coeff, pos, wide in monos:
         scalar = coeff % p
         inner = []
         for t in pos:
@@ -97,17 +99,19 @@ def _eval_block_prime(monos, outer, cols, n_outer, p):
             term = cols[inner[0]] * scalar
             for t in inner[1:]:
                 term = term * cols[t]
+                if wide:
+                    term %= p
             acc += term
         else:
             acc += scalar
         pending += 1
-        if pending >= 40000:
+        if pending >= _WINDOW:
             acc %= p
             pending = 0
     return acc % p
 
 
-def _eval_block_tables(monos, outer, cols, n_outer, F: FqField):
+def _eval_block_tables(monos, F: FqField, outer, cols, n_outer):
     block = len(cols[0]) if cols else 1
     mul, add = F.mul_table, F.add_table
     acc = np.zeros(block, dtype=np.uint8)
@@ -121,88 +125,98 @@ def _eval_block_tables(monos, outer, cols, n_outer, F: FqField):
                 inner.append(t - n_outer)
         if scalar == 0:
             continue
-        if inner:
-            term = np.full(block, scalar, dtype=np.uint8)
-            for t in inner:
-                term = mul[term, cols[t]]
-        else:
-            term = np.full(block, scalar, dtype=np.uint8)
+        term = np.full(block, scalar, dtype=np.uint8)
+        for t in inner:
+            term = mul[term, cols[t]]
         acc = add[acc, term]
     return acc
 
 
-def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: int = 1) -> int:
-    """Exact number of common zeros in affine space (or the torus)."""
-    q = F.q
-    polys = [P for P in polys if not P.is_zero]
-    kept = []
-    for P in polys:
-        if not P.variables():
-            if _field_constant(P, F) != 0:
-                return 0
-        else:
-            kept.append(P)
-    polys = kept
-    used = sorted(set().union(*(P.variables() for P in polys)) if polys else set())
-    m = len(used)
-    if n_vars < m:
-        raise PreconditionUnmet(f"system uses {m} variables but ambient is {n_vars}")
-    base = (q - 1) if torus else q
-    factor = base ** (n_vars - m)
-    if not polys:
-        return base**n_vars
-    var_index = {v: i for i, v in enumerate(used)}
-    compiled = _compile(polys, var_index)
-    if F.is_prime:
-        compiled = [
-            [(c % F.p, pos) for c, pos in monos if c % F.p] for monos in compiled
-        ]
-        if any(not monos for monos in compiled):
-            # a polynomial vanished mod p: it no longer constrains anything
-            compiled = [monos for monos in compiled if monos]
-            if not compiled:
-                return base**n_vars
-    values = np.arange(1, q, dtype=np.int64) if torus else np.arange(q, dtype=np.int64)
+def _walk(
+    evaluators, F: FqField, values: np.ndarray, m: int, *, any_zero: bool = False, threads: int = 1
+) -> int:
+    """Points of values^m where every evaluator vanishes (or, with
+    ``any_zero``, at least one does).
+
+    The last b coordinates form an inner block of at most _BLOCK_TARGET
+    points; the others are enumerated one outer assignment at a time.  Each
+    evaluator maps (outer, cols, n_outer) to its values over the block, as
+    int64 residues for prime q and uint8 field elements otherwise.
+    """
     L = len(values)
+    if not evaluators:
+        return 0 if any_zero else L**m
     b = 0
     while b < m and L ** (b + 1) <= _BLOCK_TARGET:
         b += 1
     n_outer = m - b
-    if F.is_prime:
-        cols = _inner_columns(values, b)
-    else:
-        cols = [c.astype(np.uint8) for c in _inner_columns(values, b)]
+    cols = _inner_columns(values, b)
+    if not F.is_prime:
+        cols = [c.astype(np.uint8) for c in cols]
+    block = len(cols[0]) if cols else 1
     outer_space = itertools.product([int(v) for v in values], repeat=n_outer)
 
     def run(chunk) -> int:
         total = 0
         for outer in chunk:
-            mask = None
-            for monos in compiled:
-                if F.is_prime:
-                    vals = _eval_block_prime(monos, outer, cols, n_outer, F.p)
+            mask = np.full(block, not any_zero)
+            for ev in evaluators:
+                # Binding vals keeps each block's values alive while the next
+                # is computed; freeing them first made malloc trim and re-fault
+                # the heap, which doubled the time of quadric_union_count.
+                vals = ev(outer, cols, n_outer)
+                if any_zero:
+                    mask |= vals == 0
                 else:
-                    vals = _eval_block_tables(monos, outer, cols, n_outer, F)
-                zero = vals == 0
-                mask = zero if mask is None else (mask & zero)
-                if not mask.any():
+                    mask &= vals == 0
+                if mask.all() if any_zero else not mask.any():
                     break
             total += int(mask.sum())
         return total
 
     if threads <= 1:
-        total = run(outer_space)
-    else:
-        outer_list = list(outer_space)
-        size = max(1, (len(outer_list) + threads - 1) // threads)
-        chunks = [outer_list[i : i + size] for i in range(0, len(outer_list), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(run, chunks))
-    return total * factor
+        return run(outer_space)
+    outer_list = list(outer_space)
+    size = max(1, (len(outer_list) + threads - 1) // threads)
+    chunks = [outer_list[i : i + size] for i in range(0, len(outer_list), size)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(run, chunks))
 
 
-def _field_constant(P: MLPoly, F: FqField) -> int:
-    return F.embed_int(P.constant_term())
+def _nonconstant(polys, F: FqField, n_vars: int):
+    """The polynomials that involve variables, with their sorted variables;
+    None when a nonzero constant leaves the system without zeros."""
+    kept = []
+    for P in polys:
+        if P.variables():
+            kept.append(P)
+        elif F.embed_int(P.constant_term()) != 0:
+            return None
+    used = sorted(set().union(*(P.variables() for P in kept)))
+    if n_vars < len(used):
+        raise PreconditionUnmet(f"system uses {len(used)} variables but ambient is {n_vars}")
+    return kept, used
+
+
+def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: int = 1) -> int:
+    """Exact number of common zeros in affine space (or the torus)."""
+    split = _nonconstant(polys, F, n_vars)
+    if split is None:
+        return 0
+    polys, used = split
+    q, m = F.q, len(used)
+    var_index = {v: i for i, v in enumerate(used)}
+    evaluators = []
+    for P in polys:
+        monos = [(c, tuple(var_index[v] for v in mono)) for mono, c in P.terms()]
+        if F.is_prime:
+            monos = [(c % F.p, pos, _wide(pos, F.p)) for c, pos in monos if c % F.p]
+            if monos:  # a polynomial that vanished mod p constrains nothing
+                evaluators.append(partial(_eval_block_prime, monos, F.p))
+        else:
+            evaluators.append(partial(_eval_block_tables, monos, F))
+    values = np.arange(1, q, dtype=np.int64) if torus else np.arange(q, dtype=np.int64)
+    return _walk(evaluators, F, values, m, threads=threads) * len(values) ** (n_vars - m)
 
 
 def count_zeros(
@@ -276,20 +290,24 @@ _MAX_SYSTEM = 4
 _MAX_MONOS = 4000
 
 
-def count_reduced(P: MLPoly, F: FqField, n_vars: int | None = None) -> CountReport:
+def count_reduced(
+    P: MLPoly, F: FqField, n_vars: int | None = None, *, budget: int | None = None
+) -> CountReport:
     """Count zeros of a multilinear polynomial by variable elimination.
 
     Elimination of a variable in which every polynomial in the working
     system is linear splits the count into three smaller subproblems
     (cofactor system, resultant minors, leading-coefficient system); the
     recursion is memoized on the renamed canonical form and falls back to
-    direct enumeration for systems too bushy to profit.
+    direct enumeration for systems too bushy to profit.  ``budget`` bounds
+    the points enumerated by all fallbacks together.
     """
     if not P.is_multilinear():
         raise PreconditionUnmet("count_reduced expects a multilinear polynomial")
     if n_vars is None:
         n_vars = len(P.variables())
-    raw = _count_system([P], F, n_vars)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    raw = _count_system([P], F, n_vars, budget, [0])
     return CountReport.from_raw(raw, F.q, n_vars)
 
 
@@ -303,25 +321,17 @@ def _canonical_system(polys, used):
     return tuple(sorted(fps))
 
 
-def _count_system(polys, F: FqField, n_vars: int) -> int:
-    q = F.q
-    system = []
-    for P in polys:
-        if P.is_zero:
-            continue
-        if not P.variables():
-            if _field_constant(P, F) != 0:
-                return 0
-            continue
-        system.append(P)
-    system = sorted(set(system), key=lambda P: sorted(P.terms()))
-    used = sorted(set().union(*(P.variables() for P in system)) if system else set())
-    m = len(used)
-    if n_vars < m:
-        raise PreconditionUnmet(f"system uses {m} variables but ambient is {n_vars}")
-    free = q ** (n_vars - m)
+def _count_system(polys, F: FqField, n_vars: int, budget: int, spent: list) -> int:
+    """Raw count of the system; ``spent[0]`` accumulates enumerated points."""
+    split = _nonconstant(polys, F, n_vars)
+    if split is None:
+        return 0
+    system, used = split
+    q, m = F.q, len(used)
     if not system:
         return q**n_vars
+    system = sorted(set(system), key=lambda P: sorted(P.terms()))
+    free = q ** (n_vars - m)
     key = (q, F.irreducible, _canonical_system(system, used))
     got = _reduced_memo.get(key)
     if got is not None:
@@ -330,6 +340,11 @@ def _count_system(polys, F: FqField, n_vars: int) -> int:
     linear_vars = [v for v in used if all(P.linear_in(v) for P in system)]
     total_monos = sum(P.monomial_count() for P in system)
     if not linear_vars or len(system) > _MAX_SYSTEM or total_monos > _MAX_MONOS:
+        spent[0] += q**m
+        if spent[0] > budget:
+            raise BudgetExceeded(
+                f"count_reduced's enumeration fallbacks exceed the budget of {budget} points"
+            )
         raw = _count_common_zeros(system, F, m, torus=False)
     else:
         occ = {
@@ -342,14 +357,14 @@ def _count_system(polys, F: FqField, n_vars: int) -> int:
             g, h = P.coeff_and_rest(v)
             gs.append(g)
             hs.append(h)
-        a = _count_system(gs + hs, F, m - 1)
-        c = _count_system(gs, F, m - 1)
+        a = _count_system(gs + hs, F, m - 1, budget, spent)
+        c = _count_system(gs, F, m - 1, budget, spent)
         minors = [
             gs[i] * hs[j] - gs[j] * hs[i]
             for i in range(len(system))
             for j in range(i + 1, len(system))
         ]
-        b = _count_system(minors, F, m - 1)
+        b = _count_system(minors, F, m - 1, budget, spent)
         raw = q * a + b - c
     _reduced_memo[key] = raw
     return raw * free

@@ -22,6 +22,7 @@ from .counting import (
     sing_count,
 )
 from .errors import (
+    BudgetExceeded,
     DivisibilityViolated,
     NotATriangle,
     PreconditionUnmet,
@@ -97,21 +98,23 @@ def c2_dual_triangle(G: Graph, triangle, F: FqField, *, budget=None, threads: in
     return rep.raw % F.q
 
 
+def _pos_count(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> CountReport:
+    """[q_1...q_N], checked divisible by q^2, once its preconditions hold."""
+    _require(G.n >= 1, "position space needs at least one free vertex")
+    _require(G.edge_count <= 2 * G.n and G.n >= 2, "position space needs N_G <= 2 n_G, n_G >= 2")
+    rep = quadric_union_count(G, F, budget=budget, threads=threads)
+    _quotient(rep, "q_1...q_N")
+    return rep
+
+
 def c2_pos(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
     """c2^pos(G)_q = [q_1...q_N]_q / q^2 mod q."""
-    _require(G.edge_count <= 2 * G.n, "position space needs N_G <= 2 n_G")
-    _require(G.n >= 2, "position space needs n_G >= 2")
-    rep = quadric_union_count(G, F, budget=budget, threads=threads)
-    return _quotient(rep, "q_1...q_N")
+    return _pos_count(G, F, budget=budget, threads=threads).quotient_c2
 
 
 def c2_pos_full_quotient(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
     """The quotient [q_1...q_N]_q / q^2 reduced mod q^3 (the paper's other reading)."""
-    _require(G.edge_count <= 2 * G.n, "position space needs N_G <= 2 n_G")
-    _require(G.n >= 2, "position space needs n_G >= 2")
-    rep = quadric_union_count(G, F, budget=budget, threads=threads)
-    if rep.quotient_c2 is None:
-        raise DivisibilityViolated(f"q^2 does not divide [q_1...q_N] = {rep.raw}")
+    rep = _pos_count(G, F, budget=budget, threads=threads)
     return (rep.raw // F.q**2) % F.q**3
 
 
@@ -507,6 +510,14 @@ class C2Verdict:
         }
 
 
+def _leg(fn, *args, **kwargs):
+    """(value, "") for a c2 leg that could be computed, else (None, reason)."""
+    try:
+        return fn(*args, **kwargs), ""
+    except (BudgetExceeded, PreconditionUnmet, DivisibilityViolated) as e:
+        return None, f"{e.code}: {e}"
+
+
 def c2_verdict(
     G: Graph,
     F: FqField,
@@ -516,27 +527,22 @@ def c2_verdict(
     budget=None,
     threads: int = 1,
 ) -> C2Verdict:
-    """Compute the requested c2 residues, recording why any is undefined."""
+    """Compute the requested c2 residues, recording why any is undefined.
+
+    Each leg is computed on its own: a leg whose preconditions fail, whose
+    count is not divisible by q^2, or whose enumeration exceeds the budget
+    records that as its reason and keeps the other legs' values.
+    """
     v = C2Verdict(graph_id=graph_id, q=F.q)
+    kw = {"budget": budget, "threads": threads}
     if "param" in spaces:
-        try:
-            v.c2_param = c2_param(G, F, budget=budget, threads=threads)
-        except (PreconditionUnmet, DivisibilityViolated) as e:
-            v.c2_param_reason = f"{e.code}: {e}"
+        v.c2_param, v.c2_param_reason = _leg(c2_param, G, F, **kw)
     if "dual" in spaces:
-        try:
-            v.c2_dual = c2_dual(G, F, budget=budget, threads=threads)
-        except (PreconditionUnmet, DivisibilityViolated) as e:
-            v.c2_dual_reason = f"{e.code}: {e}"
+        v.c2_dual, v.c2_dual_reason = _leg(c2_dual, G, F, **kw)
     if "pos" in spaces:
-        try:
-            rep = quadric_union_count(G, F, budget=budget, threads=threads)
-            if G.edge_count > 2 * G.n or G.n < 2:
-                raise PreconditionUnmet("position space needs N_G <= 2 n_G, n_G >= 2")
-            if rep.quotient_c2 is None:
-                raise DivisibilityViolated(f"q^2 does not divide {rep.raw}")
+        rep, v.c2_pos_reason = _leg(_pos_count, G, F, **kw)
+        if rep is not None:
             v.c2_pos = rep.quotient_c2
             v.c2_pos_quotient_mod_q3 = (rep.raw // F.q**2) % F.q**3
-        except (PreconditionUnmet, DivisibilityViolated) as e:
-            v.c2_pos_reason = f"{e.code}: {e}"
     return v
+

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import BadIndices, NotConnected, NotSpanningTree
 from .graphs import Graph, is_connected, is_forest_in
-from .multipoly import MLPoly
+from .multipoly import MLPoly, det_sparse
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class PolyMatrix:
         )
 
     def det(self) -> MLPoly:
-        return det_cofactor(self.entries)
+        rows = [[(c, e) for c, e in enumerate(row) if not e.is_zero] for row in self.entries]
+        return det_sparse(rows, self.dim)
 
     def apply_op(self, op: RowColOp) -> "PolyMatrix":
         d = self.dim
@@ -75,41 +76,11 @@ class PolyMatrix:
         return out
 
 
-def det_cofactor(entries) -> MLPoly:
-    """Determinant by memoized cofactor expansion along rows."""
-    d = len(entries)
-    if d == 0:
-        return MLPoly.constant(1)
-    memo: dict[int, MLPoly] = {}
-
-    def rec(r: int, colmask: int) -> MLPoly:
-        if colmask == 0:
-            return MLPoly.constant(1)
-        got = memo.get(colmask)
-        if got is not None:
-            return got
-        acc = MLPoly.zero()
-        pos = 0
-        for c in range(d):
-            bit = 1 << c
-            if not colmask & bit:
-                continue
-            e = entries[r][c]
-            if not e.is_zero:
-                sub = rec(r + 1, colmask & ~bit)
-                term = e * sub
-                acc = acc + (term if pos % 2 == 0 else -term)
-            pos += 1
-        memo[colmask] = acc
-        return acc
-
-    return rec(0, (1 << d) - 1)
-
-
 def det_bareiss(entries) -> MLPoly:
     """Fraction-free Gaussian elimination over the polynomial ring.
 
-    Independent of the cofactor route; used as a cross-check oracle.
+    Independent of the cofactor route (``multipoly.det_sparse``); used as a
+    cross-check oracle.
     """
     d = len(entries)
     if d == 0:

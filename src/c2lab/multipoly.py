@@ -326,19 +326,19 @@ def _m_matrix_rows(G: Graph, I, J, K):
     return rows, n_cols
 
 
-def _det_sparse(rows, n_cols) -> MLPoly:
-    """Determinant by first-row cofactor expansion, memoized on column sets."""
+def det_sparse(rows, n_cols) -> MLPoly:
+    """Determinant of a square matrix given as sparse rows of (column, entry)
+    pairs, by first-row cofactor expansion memoized on column sets."""
     if len(rows) != n_cols:
         raise BadIndices("minor is not square")
     full = (1 << n_cols) - 1
-    memo: dict[tuple[int, int], MLPoly] = {}
+    memo: dict[int, MLPoly] = {}  # colmask fixes r = n_cols - popcount(colmask)
     zero = MLPoly.zero()
 
     def rec(r: int, colmask: int) -> MLPoly:
         if colmask == 0:
             return MLPoly.constant(1)
-        key = (r, colmask)
-        got = memo.get(key)
+        got = memo.get(colmask)
         if got is not None:
             return got
         acc = zero
@@ -352,7 +352,7 @@ def _det_sparse(rows, n_cols) -> MLPoly:
             if not sub.is_zero:
                 term = entry * sub
                 acc = acc + (term if pos % 2 == 0 else -term)
-        memo[key] = acc
+        memo[colmask] = acc
         return acc
 
     return rec(0, full)
@@ -361,7 +361,7 @@ def _det_sparse(rows, n_cols) -> MLPoly:
 @lru_cache(maxsize=200000)
 def _dodgson_cached(G: Graph, I: tuple, J: tuple, K: tuple) -> MLPoly:
     rows, n_cols = _m_matrix_rows(G, set(I), set(J), set(K))
-    return _det_sparse(rows, n_cols)
+    return det_sparse(rows, n_cols)
 
 
 def dodgson(G: Graph, idx: DodgsonIndex) -> MLPoly:
@@ -375,15 +375,6 @@ def dodgson(G: Graph, idx: DodgsonIndex) -> MLPoly:
     return _dodgson_cached(
         G, tuple(sorted(idx.rows)), tuple(sorted(idx.cols)), tuple(sorted(idx.zeroed))
     )
-
-
-def psi_dodgson(G: Graph, I, J, K=()) -> MLPoly:
-    """Psi^{I,J}_K without the disjointness guard on K (internal-friendly)."""
-    I, J, K = frozenset(I), frozenset(J), frozenset(K)
-    if len(I) != len(J):
-        raise BadIndices("Dodgson needs |I| = |J|")
-    rows, n_cols = _m_matrix_rows(G, I, J, K - (I | J))
-    return _det_sparse(rows, n_cols)
 
 
 def psi_two_index(G: Graph, I, J) -> MLPoly:

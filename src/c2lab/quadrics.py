@@ -4,25 +4,24 @@ Every vertex v <= n carries a 4-vector x_v over F_q (the last vertex is
 pinned to zero); an edge (s, t) contributes the quadric
 |x_s - x_t|^2 = y^1 y^2 + y^3 y^4 in the difference y.  The main count is
 the number of points of F_q^{4n} where the product of all edge quadrics
-vanishes.  Enumeration is blocked and vectorized like the parametric
-kernel; a naive per-point evaluator is kept as an independent oracle.
+vanishes.  Enumeration goes through the parametric kernel's lattice
+walker, one block evaluator per quadric; a naive per-point evaluator is
+kept as an independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import operator
 
 import numpy as np
 
-from .counting import CountReport, count_zeros, sing_count, _check_budget, _inner_columns
+from .counting import CountReport, count_zeros, sing_count, _check_budget, _walk
 from .errors import PreconditionUnmet
 from .fields import FqField
 from .graphs import Graph, delete, is_connected
 from .matform import eval_rank, p_matrix
 from .multipoly import phi
-
-_BLOCK_TARGET = 1 << 16
 
 
 def _coord_index(v: int, j: int) -> int:
@@ -39,6 +38,47 @@ def _edge_quadrics(G: Graph):
     return out
 
 
+def _quadric(F: FqField, s, t):
+    """Block evaluator of the edge quadric d^0 d^1 + d^2 d^3, d = x_s - x_t.
+
+    A coordinate is a scalar when it is outer (or pinned) and a column when
+    it is inner.  A difference or product of two scalars stays a scalar, on
+    the table path too, where numpy indexing broadcasts.
+    """
+
+    def coord(outer, cols, n_outer, v, j):
+        if v is None:
+            return 0
+        i = _coord_index(v, j)
+        return outer[i] if i < n_outer else cols[i - n_outer]
+
+    if F.is_prime:
+        dtype = np.int64
+        sub, mul, add = operator.sub, operator.mul, operator.add
+    else:
+        dtype = np.uint8
+        add_t, mul_t, neg_t = F.add_table, F.mul_table, F.neg_table
+
+        def sub(a, b):
+            return add_t[a, neg_t[b]]
+
+        def mul(a, b):
+            return mul_t[a, b]
+
+        def add(a, b):
+            return add_t[a, b]
+
+    def evaluate(outer, cols, n_outer):
+        acc = np.zeros(len(cols[0]) if cols else 1, dtype=dtype)
+        for j in (0, 2):
+            d1 = sub(coord(outer, cols, n_outer, s, j), coord(outer, cols, n_outer, t, j))
+            d2 = sub(coord(outer, cols, n_outer, s, j + 1), coord(outer, cols, n_outer, t, j + 1))
+            acc = add(acc, mul(d1, d2))
+        return acc % F.p if F.is_prime else acc
+
+    return evaluate
+
+
 def quadric_union_count(
     G: Graph, F: FqField, *, budget: int | None = None, threads: int = 1
 ) -> CountReport:
@@ -53,76 +93,9 @@ def quadric_union_count(
     if any(s == t for s, t in pairs):
         # a self-loop's quadric is identically zero: the union is everything
         return CountReport.from_raw(q**m, q, m)
-
+    evaluators = [_quadric(F, s, t) for s, t in pairs]
     values = np.arange(q, dtype=np.int64)
-    b = 0
-    while b < m and q ** (b + 1) <= _BLOCK_TARGET:
-        b += 1
-    n_outer = m - b
-    if F.is_prime:
-        cols = _inner_columns(values, b)
-    else:
-        cols = [c.astype(np.uint8) for c in _inner_columns(values, b)]
-    block = len(cols[0]) if cols else 1
-
-    def coord(outer, v, j):
-        """Scalar (outer) or column (inner) for one coordinate; None if pinned."""
-        if v is None:
-            return 0
-        t = _coord_index(v, j)
-        return outer[t] if t < n_outer else cols[t - n_outer]
-
-    def eval_quadric_prime(outer, s, t):
-        p = F.p
-        acc = np.zeros(block, dtype=np.int64)
-        for j in (0, 2):
-            d1 = coord(outer, s, j) - coord(outer, t, j)
-            d2 = coord(outer, s, j + 1) - coord(outer, t, j + 1)
-            acc = acc + d1 * d2
-        return acc % p
-
-    def eval_quadric_tables(outer, s, t):
-        add, mul, neg = F.add_table, F.mul_table, F.neg_table
-
-        def diff(a, b):
-            if isinstance(a, int) and isinstance(b, int):
-                return F.sub(a, b)
-            a_arr = np.full(block, a, dtype=np.uint8) if isinstance(a, int) else a
-            b_arr = np.full(block, b, dtype=np.uint8) if isinstance(b, int) else b
-            return add[a_arr, neg[b_arr]]
-
-        acc = np.zeros(block, dtype=np.uint8)
-        for j in (0, 2):
-            d1 = diff(coord(outer, s, j), coord(outer, t, j))
-            d2 = diff(coord(outer, s, j + 1), coord(outer, t, j + 1))
-            prod = mul[d1, d2] if not isinstance(d1, int) else np.full(block, F.mul(d1, d2), dtype=np.uint8)
-            acc = add[acc, prod]
-        return acc
-
-    def run(chunk) -> int:
-        total = 0
-        for outer in chunk:
-            mask = np.zeros(block, dtype=bool)
-            for s, t in pairs:
-                if F.is_prime:
-                    vals = eval_quadric_prime(outer, s, t)
-                else:
-                    vals = eval_quadric_tables(outer, s, t)
-                mask |= np.asarray(vals) == 0
-                if mask.all():
-                    break
-            total += int(mask.sum())
-        return total
-
-    outer_space = itertools.product(range(q), repeat=n_outer)
-    if threads <= 1:
-        raw = run(outer_space)
-    else:
-        outer_list = list(outer_space)
-        size = max(1, (len(outer_list) + threads - 1) // threads)
-        chunks = [outer_list[i : i + size] for i in range(0, len(outer_list), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = sum(pool.map(run, chunks))
+    raw = _walk(evaluators, F, values, m, any_zero=True, threads=threads)
     return CountReport.from_raw(raw, q, m)
 
 
@@ -155,70 +128,14 @@ def quadric_system_count(
     G: Graph, F: FqField, edge_subset, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Common zeros of the quadrics of ``edge_subset`` in F_q^{4n}."""
-    n = G.n
-    m = 4 * n
+    m = 4 * G.n
     _check_budget(F.q, m, budget)
-    pairs = [p for lab, p in zip(G.labels, _edge_quadrics(G)) if lab in set(edge_subset)]
-    if not pairs:
-        return F.q**m
-    # reuse the union kernel's evaluation by De Morgan on per-point masks
-    q = F.q
-    values = np.arange(q, dtype=np.int64)
-    b = 0
-    while b < m and q ** (b + 1) <= _BLOCK_TARGET:
-        b += 1
-    n_outer = m - b
-    cols = _inner_columns(values, b)
-    if not F.is_prime:
-        cols = [c.astype(np.uint8) for c in cols]
-    block = len(cols[0]) if cols else 1
-
-    def coord(outer, v, j):
-        if v is None:
-            return 0
-        t = _coord_index(v, j)
-        return outer[t] if t < n_outer else cols[t - n_outer]
-
-    def run(chunk) -> int:
-        total = 0
-        for outer in chunk:
-            mask = np.ones(block, dtype=bool)
-            for s, t in pairs:
-                if F.is_prime:
-                    acc = np.zeros(block, dtype=np.int64)
-                    for j in (0, 2):
-                        d1 = coord(outer, s, j) - coord(outer, t, j)
-                        d2 = coord(outer, s, j + 1) - coord(outer, t, j + 1)
-                        acc = acc + d1 * d2
-                    vals = acc % F.p
-                else:
-                    add, mul, neg = F.add_table, F.mul_table, F.neg_table
-                    acc = np.zeros(block, dtype=np.uint8)
-                    for j in (0, 2):
-                        a = coord(outer, s, j)
-                        bb = coord(outer, t, j)
-                        c = coord(outer, s, j + 1)
-                        d = coord(outer, t, j + 1)
-                        a = np.full(block, a, dtype=np.uint8) if isinstance(a, int) else a
-                        bb = np.full(block, bb, dtype=np.uint8) if isinstance(bb, int) else bb
-                        c = np.full(block, c, dtype=np.uint8) if isinstance(c, int) else c
-                        d = np.full(block, d, dtype=np.uint8) if isinstance(d, int) else d
-                        acc = add[acc, mul[add[a, neg[bb]], add[c, neg[d]]]]
-                    vals = acc
-                mask &= np.asarray(vals) == 0
-                if not mask.any():
-                    break
-            total += int(mask.sum())
-        return total
-
-    outer_space = itertools.product(range(q), repeat=n_outer)
-    if threads <= 1:
-        return run(outer_space)
-    outer_list = list(outer_space)
-    size = max(1, (len(outer_list) + threads - 1) // threads)
-    chunks = [outer_list[i : i + size] for i in range(0, len(outer_list), size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(run, chunks))
+    subset = set(edge_subset)
+    evaluators = [
+        _quadric(F, s, t) for lab, (s, t) in zip(G.labels, _edge_quadrics(G)) if lab in subset
+    ]
+    values = np.arange(F.q, dtype=np.int64)
+    return _walk(evaluators, F, values, m, threads=threads)
 
 
 def restricted_matrix_rank_sums(G: Graph, F: FqField, edge_subset):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from c2lab import invariants, io
+from c2lab import counting, invariants, io
 from c2lab.cli import main
 from c2lab.corpus import named_graphs
 from c2lab.graphs import Graph, family
@@ -114,6 +114,24 @@ def test_cli_budget_exit_code(capsys):
     code, out = run_cli(capsys, "count", "--family", "wheel:5", "--q", "5", "--budget", "1000")
     assert code == 3
     assert json.loads(out)["error"]["code"] == "BudgetExceeded"
+
+
+def test_cli_count_reduced_budget_exit_code(capsys, monkeypatch):
+    # with an empty memo the reduction enumerates 2,061 points in its fallbacks
+    monkeypatch.setattr(counting, "_reduced_memo", {})
+    code, out = run_cli(
+        capsys, "count", "--family", "wheel:4", "--q", "3", "--method", "reduced", "--budget", "10"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "BudgetExceeded"
+
+
+def test_cli_c2_keeps_legs_past_position_budget(capsys):
+    code, out = run_cli(capsys, "c2", "--family", "wheel:7", "--space", "all", "--q", "2")
+    assert code == 0
+    res = json.loads(out)["results"][0]
+    assert res["c2_param"] == res["c2_dual"] == 1
+    assert res["c2_pos"] is None and res["c2_pos_reason"].startswith("BudgetExceeded")
 
 
 def test_cli_usage_errors(capsys):

@@ -83,6 +83,12 @@ def test_vectorized_matches_pointwise_oracle():
             assert count_zeros_torus([P], F, n).raw == brute_count(P, F, n, torus=True)
 
 
+def test_high_powers_do_not_wrap_int64():
+    # 4^32 = 2^64 wraps to 0 in int64; a_1^32 = 0 over F_5 only at a_1 = 0
+    assert count_zeros([MLPoly({(1,) * 32: 1})], make_field(5), 1).raw == 1
+    assert count_zeros([MLPoly({(1,) * 32: 1, (): -1})], make_field(5), 1).raw == 4
+
+
 def test_free_variable_scaling():
     F3 = make_field(3)
     P = a(2) + a(5)  # ambient declares 4 variables, only 2 used

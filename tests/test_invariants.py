@@ -183,3 +183,23 @@ def test_verdict_assembly():
     assert b3.c2_param is None and "PreconditionUnmet" in b3.c2_param_reason
     assert b3.c2_dual == 1
     assert b3.c2_pos is None
+
+
+def test_verdict_records_position_budget_and_keeps_other_legs():
+    # the parametric legs need 2^8 points, the position leg 2^16
+    v = c2_verdict(family("wheel", 4), make_field(2), budget=2**9)
+    assert v.c2_param == v.c2_dual == 1
+    assert v.c2_pos is None and v.c2_pos_quotient_mod_q3 is None
+    assert v.c2_pos_reason.startswith("BudgetExceeded")
+
+
+def test_verdict_checks_position_preconditions_before_counting():
+    # N = 10 > 2n = 8: the position leg fails on its precondition, not on
+    # the 2^16 points its count would need
+    K5, F2 = family("complete", 5), make_field(2)
+    v = c2_verdict(K5, F2, budget=2**10)
+    assert v.c2_param == c2_param(K5, F2) and v.c2_dual == c2_dual(K5, F2)
+    assert v.c2_pos is None
+    assert v.c2_pos_reason == (
+        "PreconditionUnmet: position space needs N_G <= 2 n_G, n_G >= 2"
+    )

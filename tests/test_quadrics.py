@@ -31,7 +31,7 @@ def test_single_edge_closed_form():
 
 def test_triangle_matches_direct_oracle():
     tri = family("cycle", 3)
-    for q in (2, 3):
+    for q in (2, 3, 4):
         F = make_field(q)
         assert quadric_union_count(tri, F).raw == quadric_union_count_direct(tri, F)
 
@@ -40,6 +40,16 @@ def test_direct_oracle_more_graphs():
     F2 = make_field(2)
     for G in (family("path", 2), family("banana", 2), family("Gn", 2)):
         assert quadric_union_count(G, F2).raw == quadric_union_count_direct(G, F2)
+
+
+def test_union_closed_form_with_block_boundary_inside_a_vector():
+    # at q = 8 the inner block holds 5 coordinates: x_1's last coordinate is
+    # inner and its others outer.  With both edges at the pinned vertex, the
+    # union misses exactly the points where |x_1|^2 and |x_2|^2 are nonzero.
+    q = 8
+    zeros = q**3 + q**2 - q
+    star = Graph(((1, 3), (2, 3)), 3)
+    assert quadric_union_count(star, make_field(q)).raw == q**8 - (q**4 - zeros) ** 2
 
 
 def test_self_loop_fills_space():
@@ -89,7 +99,7 @@ def test_congruence_needs_n_le_2n():
         quadric_congruence_rhs(b3, make_field(2))
 
 
-@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("q", (2, 3, 4))
 def test_prop_p14_identity(q):
     # q^{|I|-1} [{q_i}_I] = q^{2n-1} sum_alpha q^{2 corank P_I(alpha)}
     F = make_field(q)
