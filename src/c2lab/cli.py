@@ -14,10 +14,11 @@ import sys
 
 from . import corpus, io
 from .counting import DEFAULT_BUDGET, count_reduced, count_zeros, count_zeros_torus
-from .errors import BudgetExceeded, C2LabError
+from .errors import BadParameter, BudgetExceeded, C2LabError
 from .fields import make_field
 from .graphs import Graph, census, family
 from .invariants import (
+    FIELD_FREE_THEOREMS,
     THEOREM_IDS,
     admissible_at_q,
     admissible_structural,
@@ -95,6 +96,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.torus and args.method == "reduced":
+        raise BadParameter("--torus counts by brute force only; drop --method reduced")
     gid, G = _graph_from_args(args)
     P = psi(G) if args.which == "psi" else phi(G)
     results = []
@@ -140,7 +143,7 @@ def _cmd_verify(args) -> int:
     gid, G = _graph_from_args(args)
     results = []
     ok = True
-    if args.theorem in ("prop34", "cor35", "lem36"):
+    if args.theorem in FIELD_FREE_THEOREMS:
         rep = verify(args.theorem, G, None, budget=args.budget, threads=args.threads)
         results.append(rep.to_json())
         ok = ok and rep.passed
@@ -267,20 +270,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, graph=True, q=False):
+    def add_common(p, graph=True, counts=False):
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--threads", type=int, default=1, help="parallel counting lanes")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_BUDGET,
-            help="maximum number of enumerated points",
-        )
         if graph:
             p.add_argument("--graph-file", help="graph in text or JSON format")
             p.add_argument("--family", help="family spec name:n (banana, cycle, path, wheel, complete, Gn)")
-        if q:
+        if counts:
             p.add_argument("--q", help="comma-separated prime powers, e.g. 2,3,5")
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=1,
+                help="parallel counting lanes; on 2 cores a second one pays on position-space "
+                "unions and prime-power fields, and costs on prime-field parametric counts",
+            )
+            p.add_argument(
+                "--budget",
+                type=int,
+                default=DEFAULT_BUDGET,
+                help="maximum number of enumerated points",
+            )
 
     p = sub.add_parser("poly", help="print psi or phi of a graph")
     add_common(p)
@@ -289,24 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_poly)
 
     p = sub.add_parser("count", help="count zeros of psi or phi over F_q")
-    add_common(p, q=True)
+    add_common(p, counts=True)
     p.add_argument("--which", choices=("psi", "phi"), default="psi")
     p.add_argument("--torus", action="store_true", help="restrict to nonzero coordinates")
     p.add_argument("--method", choices=("brute", "reduced"), default="brute")
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("c2", help="c2 invariants in the three spaces")
-    add_common(p, q=True)
+    add_common(p, counts=True)
     p.add_argument("--space", choices=("param", "dual", "pos", "all"), default="all")
     p.set_defaults(fn=_cmd_c2)
 
     p = sub.add_parser("verify", help="recompute both sides of a theorem")
-    add_common(p, q=True)
+    add_common(p, counts=True)
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("admissible", help="duality admissibility checks")
-    add_common(p, q=True)
+    add_common(p, counts=True)
     p.add_argument("--mode", choices=("structural", "at-q"), default="structural")
     p.set_defaults(fn=_cmd_admissible)
 

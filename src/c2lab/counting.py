@@ -174,7 +174,7 @@ def _walk(
             total += int(mask.sum())
         return total
 
-    if threads <= 1:
+    if threads <= 1 or n_outer == 0:  # a single block has nothing to split
         return run(outer_space)
     outer_list = list(outer_space)
     size = max(1, (len(outer_list) + threads - 1) // threads)
@@ -284,8 +284,6 @@ def count_via_inclusion_exclusion(
 
 # -- reduction-based counting ------------------------------------------------
 
-_reduced_memo: dict = {}
-
 _MAX_SYSTEM = 4
 _MAX_MONOS = 4000
 
@@ -298,9 +296,9 @@ def count_reduced(
     Elimination of a variable in which every polynomial in the working
     system is linear splits the count into three smaller subproblems
     (cofactor system, resultant minors, leading-coefficient system); the
-    recursion is memoized on the renamed canonical form and falls back to
-    direct enumeration for systems too bushy to profit.  ``budget`` bounds
-    the points enumerated by all fallbacks together.
+    recursion falls back to direct enumeration for systems too bushy to
+    profit.  ``budget`` bounds the points enumerated by all fallbacks
+    together.
     """
     if not P.is_multilinear():
         raise PreconditionUnmet("count_reduced expects a multilinear polynomial")
@@ -309,16 +307,6 @@ def count_reduced(
     budget = DEFAULT_BUDGET if budget is None else budget
     raw = _count_system([P], F, n_vars, budget, [0])
     return CountReport.from_raw(raw, F.q, n_vars)
-
-
-def _canonical_system(polys, used):
-    rename = {v: i + 1 for i, v in enumerate(used)}
-    fps = []
-    for P in polys:
-        fps.append(
-            tuple(sorted((tuple(rename[x] for x in m), c) for m, c in P.terms()))
-        )
-    return tuple(sorted(fps))
 
 
 def _count_system(polys, F: FqField, n_vars: int, budget: int, spent: list) -> int:
@@ -330,13 +318,7 @@ def _count_system(polys, F: FqField, n_vars: int, budget: int, spent: list) -> i
     q, m = F.q, len(used)
     if not system:
         return q**n_vars
-    system = sorted(set(system), key=lambda P: sorted(P.terms()))
-    free = q ** (n_vars - m)
-    key = (q, F.irreducible, _canonical_system(system, used))
-    got = _reduced_memo.get(key)
-    if got is not None:
-        return got * free
-
+    system = list(set(system))
     linear_vars = [v for v in used if all(P.linear_in(v) for P in system)]
     total_monos = sum(P.monomial_count() for P in system)
     if not linear_vars or len(system) > _MAX_SYSTEM or total_monos > _MAX_MONOS:
@@ -366,8 +348,7 @@ def _count_system(polys, F: FqField, n_vars: int, budget: int, spent: list) -> i
         ]
         b = _count_system(minors, F, m - 1, budget, spent)
         raw = q * a + b - c
-    _reduced_memo[key] = raw
-    return raw * free
+    return raw * q ** (n_vars - m)
 
 
 # -- singular locus ----------------------------------------------------------

@@ -21,10 +21,6 @@ from .errors import (
     UnknownFamily,
 )
 
-# An EdgeSet is a plain frozenset of edge labels; bitmask helpers below are
-# used where deterministic ordering matters.
-EdgeSet = frozenset
-
 
 def edge_mask(labels) -> int:
     """Bitmask encoding of a label set (bit label-1)."""

@@ -273,7 +273,6 @@ def default_identity_indices(G: Graph, name: str):
     identity's configuration.
     """
     labels = sorted(G.labels)
-    N = len(labels)
     if name == "c10":
         for k in labels:
             yield {"k": k}
@@ -294,8 +293,6 @@ def default_identity_indices(G: Graph, name: str):
         for i, j in itertools.combinations(labels, 2):
             yield {key[0]: i, key[1]: j}
     elif name in ("c18", "c20"):
-        if name == "c18":
-            base = {"I": (), "J": (), "S": (), "K": ()}
         triples = list(itertools.permutations(labels, 3))
         for t in triples[:6]:
             a, b, x = t

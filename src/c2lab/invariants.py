@@ -314,15 +314,11 @@ def verify(theorem: str, G: Graph, F: FqField | None = None, *, budget=None, thr
         raise PreconditionUnmet(
             f"unknown theorem {theorem!r}; known: {sorted(_THEOREMS)}"
         )
+    _require(F is not None or theorem in FIELD_FREE_THEOREMS, "this verification needs a field")
     return fn(G, F, budget=budget, threads=threads)
 
 
-def _needs_q(F):
-    _require(F is not None, "this verification needs a field")
-
-
 def _v_thm2(G, F, *, budget, threads):
-    _needs_q(F)
     _require(G.is_log_divergent(), "Thm2 is about log-divergent graphs")
     _require(G.h >= 2 and G.n >= 2, "Thm2 needs h_G, n_G >= 2")
     a = c2_param(G, F, budget=budget, threads=threads)
@@ -331,7 +327,6 @@ def _v_thm2(G, F, *, budget, threads):
 
 
 def _v_sec3(G, F, *, budget, threads):
-    _needs_q(F)
     _require(G.n >= 3, "the position-space theorem needs n_G >= 3")
     N, n = G.edge_count, G.n
     if N < 2 * n:
@@ -346,7 +341,6 @@ def _v_sec3(G, F, *, budget, threads):
 
 
 def _v_thm20(G, F, *, budget, threads):
-    _needs_q(F)
     _require(G.h >= 2, "thm20 needs at least two loops")
     rep = sing_count(G, F, "jacobian", budget=budget, threads=threads)
     return VerifyReport(
@@ -355,7 +349,6 @@ def _v_thm20(G, F, *, budget, threads):
 
 
 def _v_prop1(G, F, *, budget, threads):
-    _needs_q(F)
     _require(G.h >= 2, "Prop1 needs at least two loops")
     rep = count_zeros([phi(G)], F, G.edge_count, budget=budget, threads=threads)
     return VerifyReport(
@@ -364,14 +357,12 @@ def _v_prop1(G, F, *, budget, threads):
 
 
 def _v_c216(G, F, *, budget, threads):
-    _needs_q(F)
     lhs = quadric_union_count(G, F, budget=budget, threads=threads).raw % F.q**3
     rhs = quadric_congruence_rhs(G, F, budget=budget)
     return VerifyReport("c216", lhs == rhs, F.q, {"lhs_mod_q3": lhs, "rhs_mod_q3": rhs})
 
 
 def _v_c220(G, F, *, budget, threads):
-    _needs_q(F)
     _require(G.edge_count <= 2 * G.n and G.n >= 2, "c220 needs N <= 2n, n >= 2")
     rep = quadric_union_count(G, F, budget=budget, threads=threads)
     return VerifyReport(
@@ -446,7 +437,6 @@ def _v_lem36(G, F, *, budget, threads):
 
 
 def _v_p4(G, F, *, budget, threads):
-    _needs_q(F)
     _require(G.h >= 3, "p4 needs h_G >= 3")
     tri = _find_triangle(G)
     _require(tri is not None, "p4 needs a triangle")
@@ -479,6 +469,8 @@ _THEOREMS = {
 }
 
 THEOREM_IDS = tuple(sorted(_THEOREMS))
+# Census statements: they take no field and are checked once, not per q.
+FIELD_FREE_THEOREMS = frozenset({"prop34", "cor35", "lem36"})
 
 
 # -- verdict assembly ----------------------------------------------------------

@@ -242,7 +242,7 @@ def resultant(f: MLPoly, g: MLPoly, k: int) -> MLPoly:
 # -- graph polynomials -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def psi(G: Graph) -> MLPoly:
     """Sum over spanning trees of the product of edge variables NOT in the tree."""
     full = edge_mask(G.labels)
@@ -253,7 +253,7 @@ def psi(G: Graph) -> MLPoly:
     return MLPoly(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def phi(G: Graph) -> MLPoly:
     """Sum over spanning trees of the product of edge variables IN the tree."""
     out = {}

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from c2lab import counting, invariants, io
+from c2lab import invariants, io
 from c2lab.cli import main
 from c2lab.corpus import named_graphs
 from c2lab.graphs import Graph, family
@@ -116,14 +116,38 @@ def test_cli_budget_exit_code(capsys):
     assert json.loads(out)["error"]["code"] == "BudgetExceeded"
 
 
-def test_cli_count_reduced_budget_exit_code(capsys, monkeypatch):
-    # with an empty memo the reduction enumerates 2,061 points in its fallbacks
-    monkeypatch.setattr(counting, "_reduced_memo", {})
+def test_cli_count_reduced_budget_exit_code(capsys):
     code, out = run_cli(
         capsys, "count", "--family", "wheel:4", "--q", "3", "--method", "reduced", "--budget", "10"
     )
     assert code == 3
     assert json.loads(out)["error"]["code"] == "BudgetExceeded"
+
+
+def test_cli_count_torus_rejects_reduced_method(capsys):
+    code, out = run_cli(
+        capsys, "count", "--family", "wheel:3", "--q", "2", "--torus", "--method", "reduced"
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "BadParameter"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--family", "cycle:3"],
+        ["census", "--family", "wheel:3", "--u", "1", "--v", "0"],
+        ["diag", "--family", "complete:4"],
+        ["family", "--family", "cycle:3"],
+        ["seed-corpus", "--out-dir", "corpus"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("flag", ["--threads", "--budget"])
+def test_cli_counting_flags_only_on_counting_commands(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, flag, "2") == (2, "")
 
 
 def test_cli_c2_keeps_legs_past_position_budget(capsys):

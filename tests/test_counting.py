@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from c2lab import counting
 from c2lab.counting import (
     chevalley_warning_check,
     count_reduced,
@@ -218,3 +219,24 @@ def test_threads_do_not_change_counts():
     one = count_zeros([psi(K4)], F3, 6, threads=1).raw
     many = count_zeros([psi(K4)], F3, 6, threads=8).raw
     assert one == many
+    W4, F5 = family("wheel", 4), make_field(5)  # 25 outer assignments
+    one = count_zeros([psi(W4)], F5, 8, threads=1).raw
+    many = count_zeros([psi(W4)], F5, 8, threads=8).raw
+    assert one == many
+
+
+def test_single_block_starts_no_thread_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single block needs no thread pool")
+
+    K4, F3 = family("complete", 4), make_field(3)
+    one = count_zeros([psi(K4)], F3, 6, threads=1).raw
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", no_pool)
+    assert count_zeros([psi(K4)], F3, 6, threads=8).raw == one
+
+
+def test_count_reduced_budget_does_not_depend_on_earlier_calls():
+    W4, F3 = family("wheel", 4), make_field(3)
+    count_reduced(psi(W4), F3, 8)
+    with pytest.raises(BudgetExceeded):
+        count_reduced(psi(W4), F3, 8, budget=10)

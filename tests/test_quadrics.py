@@ -65,6 +65,11 @@ def test_threads_deterministic():
         quadric_union_count(K4, F2, threads=1).raw
         == quadric_union_count(K4, F2, threads=8).raw
     )
+    F3 = make_field(3)  # 9 outer assignments
+    assert (
+        quadric_union_count(K4, F3, threads=1).raw
+        == quadric_union_count(K4, F3, threads=8).raw
+    )
 
 
 def test_budget_guard():
