@@ -3,10 +3,11 @@
 Counts are exact Python integers; residues are derived from the raw count,
 never computed by wraparound.  One lattice walker, ``_walk``, enumerates
 the points in blocks for every brute-force count, parametric here and
-position-space in ``quadrics``; each constraint supplies a block evaluator,
-vectorized with numpy: direct modular arithmetic for prime q, table lookups
-for prime powers.  Parallel runs split the outer assignments into ordered
-chunks, so totals are independent of the schedule.
+position-space in ``quadrics``, and sums a tally per block: the zeros of
+block evaluators, or a histogram of matrix ranks.  Evaluators are vectorized
+with numpy through the field's array arithmetic (``FqField.vmul`` and
+friends).  Parallel runs split the outer assignments into ordered chunks,
+so totals are independent of the schedule.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import BudgetExceeded, PreconditionUnmet
 from .fields import FqField
 from .graphs import Graph, spanning_trees
-from .matform import eval_rank, p_matrix
+from .matform import PolyMatrix, block_rank, p_matrix
 from .multipoly import MLPoly, phi
 
 DEFAULT_BUDGET = 10**8
@@ -81,97 +82,62 @@ def _wide(pos, p: int) -> bool:
     return _WINDOW * (p - 1) ** (len(pos) + 1) + p >= 2**63
 
 
-def _eval_block_prime(monos, p, outer, cols, n_outer):
-    block = len(cols[0]) if cols else 1
-    acc = np.zeros(block, dtype=np.int64)
-    pending = 0
-    for coeff, pos, wide in monos:
-        scalar = coeff % p
+def _eval_block(monos, F: FqField, outer, cols, n_outer):
+    """Values of a compiled polynomial over one block, reduced.
+
+    Each monomial's outer factors fold into a scalar; its inner factors are
+    columns.  Between reductions at most _WINDOW terms are summed, and a
+    ``wide`` monomial is reduced after each factor (see ``_wide``).
+    """
+    acc = 0
+    for k, (coeff, pos, wide) in enumerate(monos):
+        if k % _WINDOW == 0:
+            acc = F.reduce(acc)
+        scalar = coeff
         inner = []
         for t in pos:
             if t < n_outer:
-                scalar = scalar * outer[t] % p
+                scalar = F.reduce(F.vmul(scalar, outer[t]))
             else:
                 inner.append(t - n_outer)
         if scalar == 0:
             continue
         if inner:
-            term = cols[inner[0]] * scalar
+            # term is rebound only once its successor exists: freeing it
+            # first made malloc trim and re-fault the heap (psi(wheel:6) at
+            # q = 3: 180k minor faults against 2k).
+            term = F.vmul(cols[inner[0]], scalar)
             for t in inner[1:]:
-                term = term * cols[t]
+                term = F.vmul(term, cols[t])
                 if wide:
-                    term %= p
-            acc += term
+                    term = F.reduce(term)
+            acc = F.vadd(acc, term)
         else:
-            acc += scalar
-        pending += 1
-        if pending >= _WINDOW:
-            acc %= p
-            pending = 0
-    return acc % p
+            acc = F.vadd(acc, scalar)
+    return F.reduce(acc)
 
 
-def _eval_block_tables(monos, F: FqField, outer, cols, n_outer):
-    block = len(cols[0]) if cols else 1
-    mul, add = F.mul_table, F.add_table
-    acc = np.zeros(block, dtype=np.uint8)
-    for coeff, pos in monos:
-        scalar = F.embed_int(coeff)
-        inner = []
-        for t in pos:
-            if t < n_outer:
-                scalar = F.mul(scalar, outer[t])
-            else:
-                inner.append(t - n_outer)
-        if scalar == 0:
-            continue
-        term = np.full(block, scalar, dtype=np.uint8)
-        for t in inner:
-            term = mul[term, cols[t]]
-        acc = add[acc, term]
-    return acc
-
-
-def _walk(
-    evaluators, F: FqField, values: np.ndarray, m: int, *, any_zero: bool = False, threads: int = 1
-) -> int:
-    """Points of values^m where every evaluator vanishes (or, with
-    ``any_zero``, at least one does).
+def _walk(tally, F: FqField, m: int, *, torus: bool = False, threads: int = 1):
+    """Sum of ``tally(outer, cols, n_outer)`` over the blocks of F_q^m (of
+    the torus, with ``torus``).
 
     The last b coordinates form an inner block of at most _BLOCK_TARGET
-    points; the others are enumerated one outer assignment at a time.  Each
-    evaluator maps (outer, cols, n_outer) to its values over the block, as
-    int64 residues for prime q and uint8 field elements otherwise.
+    points, given as columns of codes; the others are enumerated one outer
+    assignment at a time.  A tally is an int or a numpy array.
     """
+    values = np.arange(1 if torus else 0, F.q)
     L = len(values)
-    if not evaluators:
-        return 0 if any_zero else L**m
     b = 0
     while b < m and L ** (b + 1) <= _BLOCK_TARGET:
         b += 1
     n_outer = m - b
-    cols = _inner_columns(values, b)
-    if not F.is_prime:
-        cols = [c.astype(np.uint8) for c in cols]
-    block = len(cols[0]) if cols else 1
+    cols = _inner_columns(F.codes(values), b)
     outer_space = itertools.product([int(v) for v in values], repeat=n_outer)
 
-    def run(chunk) -> int:
+    def run(chunk):
         total = 0
         for outer in chunk:
-            mask = np.full(block, not any_zero)
-            for ev in evaluators:
-                # Binding vals keeps each block's values alive while the next
-                # is computed; freeing them first made malloc trim and re-fault
-                # the heap, which doubled the time of quadric_union_count.
-                vals = ev(outer, cols, n_outer)
-                if any_zero:
-                    mask |= vals == 0
-                else:
-                    mask &= vals == 0
-                if mask.all() if any_zero else not mask.any():
-                    break
-            total += int(mask.sum())
+            total += tally(outer, cols, n_outer)
         return total
 
     if threads <= 1 or n_outer == 0:  # a single block has nothing to split
@@ -181,6 +147,48 @@ def _walk(
     chunks = [outer_list[i : i + size] for i in range(0, len(outer_list), size)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return sum(pool.map(run, chunks))
+
+
+def _walk_zeros(
+    evaluators, F: FqField, m: int, *, any_zero: bool = False, torus: bool = False, threads: int = 1
+) -> int:
+    """Points of F_q^m (or the torus) where every evaluator vanishes (or,
+    with ``any_zero``, at least one does).  Each evaluator maps (outer,
+    cols, n_outer) to its reduced values over the block."""
+    if not evaluators:
+        return 0 if any_zero else (F.q - 1 if torus else F.q) ** m
+    # The last block's values stay referenced until the next block has its
+    # own: freeing them with each block made malloc trim and re-fault the
+    # heap (the union of Gn:4 at q = 3 took 892k minor faults, 3k held).
+    held = [None]
+
+    def tally(outer, cols, n_outer) -> int:
+        mask = np.full(len(cols[0]) if cols else 1, not any_zero)
+        for ev in evaluators:
+            vals = ev(outer, cols, n_outer)
+            if any_zero:
+                mask |= vals == 0
+            else:
+                mask &= vals == 0
+            if mask.all() if any_zero else not mask.any():
+                break
+        held[0] = vals
+        return int(mask.sum())
+
+    return _walk(tally, F, m, torus=torus, threads=threads)
+
+
+def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> list[int]:
+    """Entry r counts the points of F_q^labels where M has rank r; every
+    variable of M must be among ``labels``."""
+
+    def tally(outer, cols, n_outer) -> np.ndarray:
+        point = {
+            lab: outer[i] if i < n_outer else cols[i - n_outer] for i, lab in enumerate(labels)
+        }
+        return np.bincount(block_rank(M, point, F), minlength=M.dim + 1)
+
+    return [int(c) for c in _walk(tally, F, len(labels), threads=threads)]
 
 
 def _nonconstant(polys, F: FqField, n_vars: int):
@@ -208,15 +216,12 @@ def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: in
     var_index = {v: i for i, v in enumerate(used)}
     evaluators = []
     for P in polys:
-        monos = [(c, tuple(var_index[v] for v in mono)) for mono, c in P.terms()]
-        if F.is_prime:
-            monos = [(c % F.p, pos, _wide(pos, F.p)) for c, pos in monos if c % F.p]
-            if monos:  # a polynomial that vanished mod p constrains nothing
-                evaluators.append(partial(_eval_block_prime, monos, F.p))
-        else:
-            evaluators.append(partial(_eval_block_tables, monos, F))
-    values = np.arange(1, q, dtype=np.int64) if torus else np.arange(q, dtype=np.int64)
-    return _walk(evaluators, F, values, m, threads=threads) * len(values) ** (n_vars - m)
+        monos = [(c % F.p, tuple(var_index[v] for v in mono)) for mono, c in P.terms()]
+        monos = [(c, pos, _wide(pos, F.p)) for c, pos in monos if c]
+        if monos:  # a polynomial that vanished mod p constrains nothing
+            evaluators.append(partial(_eval_block, monos, F))
+    raw = _walk_zeros(evaluators, F, m, torus=torus, threads=threads)
+    return raw * (q - 1 if torus else q) ** (n_vars - m)
 
 
 def count_zeros(
@@ -366,7 +371,7 @@ def sing_count(
 
     Three routes (they must agree): ``jacobian`` uses every partial,
     ``jacobian_tree`` only the partials of one spanning tree's edges, and
-    ``rank`` tests rank P_G(alpha) < n_G - 1 point by point.
+    ``rank`` counts the points where rank P_G(alpha) < n_G - 1.
     """
     N = G.edge_count
     _check_budget(F.q, N, budget)
@@ -379,13 +384,7 @@ def sing_count(
         polys = [f] + [f.coeff_and_rest(k)[0] for k in sorted(T)]
         return count_zeros(polys, F, N, budget=budget, threads=threads)
     if method == "rank":
-        P = p_matrix(G)
-        n = G.n
-        labels = sorted(G.labels)
-        raw = 0
-        for point_vals in itertools.product(F.elements(), repeat=N):
-            point = dict(zip(labels, point_vals))
-            if eval_rank(P, point, F) < n - 1:
-                raw += 1
+        hist = rank_histogram(p_matrix(G), F, sorted(G.labels), threads=threads)
+        raw = sum(c for r, c in enumerate(hist) if r < G.n - 1)
         return CountReport.from_raw(raw, F.q, N)
     raise PreconditionUnmet(f"unknown sing_count method {method!r}")

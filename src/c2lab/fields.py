@@ -8,6 +8,8 @@ and 1 for every supported q).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import UnsupportedQ
@@ -76,7 +78,15 @@ def _least_irreducible(p: int, s: int) -> tuple:
 
 
 class FqField:
-    """Arithmetic tables for F_q with element enumeration 0..q-1."""
+    """Arithmetic tables for F_q with element enumeration 0..q-1.
+
+    Block kernels use the array arithmetic ``vadd``, ``vsub``, ``vmul``,
+    ``reduce`` and ``codes`` on codes or numpy arrays of codes.  For prime q
+    these are int64 integers, unreduced until ``reduce`` takes them mod p,
+    and ``vadd(acc, b)`` adds into an array ``acc`` in place, so its first
+    operand must be an accumulator the caller owns.  For prime powers they
+    are uint8 table lookups, always reduced, and ``reduce`` is the identity.
+    """
 
     def __init__(self, q: int, p: int, s: int, irreducible: tuple | None):
         self.q = q
@@ -84,6 +94,17 @@ class FqField:
         self.s = s
         self.irreducible = irreducible
         self._build_tables()
+        if self.is_prime:
+            self.code_dtype = np.int64
+            self.vadd, self.vsub, self.vmul = operator.iadd, operator.sub, operator.mul
+            self.reduce = lambda x: x % q
+        else:
+            self.code_dtype = np.uint8
+            add, mul, neg = self.add_table, self.mul_table, self.neg_table
+            self.vadd = lambda a, b: add[a, b]
+            self.vsub = lambda a, b: add[a, neg[b]]
+            self.vmul = lambda a, b: mul[a, b]
+            self.reduce = lambda x: x
 
     @property
     def is_prime(self) -> bool:
@@ -133,6 +154,10 @@ class FqField:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return int(self.inv_table[a])
+
+    def codes(self, values: np.ndarray) -> np.ndarray:
+        """An array of element codes in the dtype of the array arithmetic."""
+        return values.astype(self.code_dtype)
 
     def embed_int(self, c: int) -> int:
         """The image of an integer in F_q (c mod p at digit 0)."""

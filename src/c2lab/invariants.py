@@ -221,9 +221,7 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> A
     examined = 0
     skipped = 0
     pairs = []
-    for si in range(0, max(n - 2, 1)):
-        if si > n - 3:
-            break
+    for si in range(n - 2):
         for sj in range(si + 1, N - si + 1):
             pairs.append((si, sj))
     pairs.sort(key=lambda p: (p[0] + p[1], p))

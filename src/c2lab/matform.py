@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadIndices, NotConnected, NotSpanningTree
 from .graphs import Graph, is_connected, is_forest_in
 from .multipoly import MLPoly, det_sparse
@@ -284,34 +286,40 @@ def tree_occurrence_contract_mod_nontree(diag: TreeDiagonalization, G: Graph) ->
     return True
 
 
-def eval_rank(M: PolyMatrix, point: dict, F) -> int:
-    """Rank of M evaluated at a field point, by Gaussian elimination over F."""
+def block_rank(M: PolyMatrix, point: dict, F) -> np.ndarray:
+    """Rank of M at each point of a block, by Gaussian elimination over F
+    with a pivot chosen per lane.
+
+    ``point`` maps every variable of M to a field code or to an array of
+    codes, one per lane; the result has one rank per lane.
+    """
     d = M.dim
-    rows = [[_eval_field(M[i, j], point, F) for j in range(d)] for i in range(d)]
-    rank = 0
-    col = 0
-    while rank < d and col < d:
-        piv = next((r for r in range(rank, d) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(inv, x) for x in rows[rank]]
-        for r in range(d):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    lanes = max((np.size(v) for v in point.values()), default=1)
+    A = np.zeros((lanes, d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(d):
+            acc = 0
+            for mono, c in M[i, j].terms():
+                term = F.embed_int(c)
+                for x in mono:
+                    term = F.reduce(F.vmul(term, point[x]))
+                acc = F.vadd(acc, term)
+            A[:, i, j] = F.reduce(acc)
+    lane = np.arange(lanes)
+    free = np.ones((lanes, d), dtype=bool)  # rows not yet taken as a pivot
+    for c in range(d):
+        cand = free & (A[:, :, c] != 0)
+        piv = cand.argmax(axis=1)
+        free[lane, piv] &= ~cand[lane, piv]
+        prow = A[lane, piv]
+        # Clear column c from the free rows; lanes without a pivot have only
+        # zeros there, so they are left as they are.
+        f = F.reduce(F.vmul(A[:, :, c], F.inv_table[prow[:, c]][:, None]))
+        f[~free] = 0
+        A = F.reduce(F.vsub(A, F.vmul(f[:, :, None], prow[:, None, :])))
+    return d - free.sum(axis=1)
 
 
-def _eval_field(P: MLPoly, point: dict, F):
-    total = 0
-    for m, c in P.terms():
-        v = F.embed_int(c)
-        for i in m:
-            v = F.mul(v, point[i])
-        total = F.add(total, v)
-    return total
+def eval_rank(M: PolyMatrix, point: dict, F) -> int:
+    """Rank of M evaluated at a field point (a one-lane ``block_rank``)."""
+    return int(block_rank(M, point, F)[0])

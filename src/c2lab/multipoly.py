@@ -179,15 +179,6 @@ class MLPoly:
         ks = set(ks)
         return MLPoly({m: c for m, c in self._terms.items() if not ks & set(m)})
 
-    def evaluate(self, assignment: dict) -> int:
-        total = 0
-        for m, c in self._terms.items():
-            v = c
-            for i in m:
-                v *= assignment[i]
-            total += v
-        return total
-
     # -- serialization -----------------------------------------------------
     def _sorted_terms(self):
         def key(item):

@@ -12,15 +12,16 @@ kept as an independent oracle.
 from __future__ import annotations
 
 import itertools
-import operator
 
 import numpy as np
 
-from .counting import CountReport, count_zeros, sing_count, _check_budget, _walk
+from .counting import (
+    CountReport, count_zeros, rank_histogram, sing_count, _check_budget, _walk_zeros,
+)
 from .errors import PreconditionUnmet
 from .fields import FqField
 from .graphs import Graph, delete, is_connected
-from .matform import eval_rank, p_matrix
+from .matform import PolyMatrix, p_matrix
 from .multipoly import phi
 
 
@@ -52,29 +53,17 @@ def _quadric(F: FqField, s, t):
         i = _coord_index(v, j)
         return outer[i] if i < n_outer else cols[i - n_outer]
 
-    if F.is_prime:
-        dtype = np.int64
-        sub, mul, add = operator.sub, operator.mul, operator.add
-    else:
-        dtype = np.uint8
-        add_t, mul_t, neg_t = F.add_table, F.mul_table, F.neg_table
-
-        def sub(a, b):
-            return add_t[a, neg_t[b]]
-
-        def mul(a, b):
-            return mul_t[a, b]
-
-        def add(a, b):
-            return add_t[a, b]
-
     def evaluate(outer, cols, n_outer):
-        acc = np.zeros(len(cols[0]) if cols else 1, dtype=dtype)
+        # This order of allocations keeps malloc from trimming and
+        # re-faulting the heap between blocks: at q = 3 the union of cycle:5
+        # took 279k minor faults, and 417k-771k with the products summed
+        # into the zero block or without the zero block.
+        acc = np.zeros(len(cols[0]) if cols else 1, dtype=F.code_dtype)
         for j in (0, 2):
-            d1 = sub(coord(outer, cols, n_outer, s, j), coord(outer, cols, n_outer, t, j))
-            d2 = sub(coord(outer, cols, n_outer, s, j + 1), coord(outer, cols, n_outer, t, j + 1))
-            acc = add(acc, mul(d1, d2))
-        return acc % F.p if F.is_prime else acc
+            d1 = F.vsub(coord(outer, cols, n_outer, s, j), coord(outer, cols, n_outer, t, j))
+            d2 = F.vsub(coord(outer, cols, n_outer, s, j + 1), coord(outer, cols, n_outer, t, j + 1))
+            acc = F.vadd(F.vmul(d1, d2), acc)
+        return F.reduce(acc)
 
     return evaluate
 
@@ -94,8 +83,7 @@ def quadric_union_count(
         # a self-loop's quadric is identically zero: the union is everything
         return CountReport.from_raw(q**m, q, m)
     evaluators = [_quadric(F, s, t) for s, t in pairs]
-    values = np.arange(q, dtype=np.int64)
-    raw = _walk(evaluators, F, values, m, any_zero=True, threads=threads)
+    raw = _walk_zeros(evaluators, F, m, any_zero=True, threads=threads)
     return CountReport.from_raw(raw, q, m)
 
 
@@ -134,8 +122,7 @@ def quadric_system_count(
     evaluators = [
         _quadric(F, s, t) for lab, (s, t) in zip(G.labels, _edge_quadrics(G)) if lab in subset
     ]
-    values = np.arange(F.q, dtype=np.int64)
-    return _walk(evaluators, F, values, m, threads=threads)
+    return _walk_zeros(evaluators, F, m, threads=threads)
 
 
 def restricted_matrix_rank_sums(G: Graph, F: FqField, edge_subset):
@@ -145,23 +132,14 @@ def restricted_matrix_rank_sums(G: Graph, F: FqField, edge_subset):
     assignments to the surviving variables.
     """
     labels = sorted(set(edge_subset))
-    P = p_matrix(G)
+    _check_budget(F.q, len(labels), None)
+    others = set(G.labels) - set(labels)
+    P = PolyMatrix(tuple(tuple(e.subs_zero(others) for e in row) for row in p_matrix(G).entries))
     n = G.n
-    q = F.q
-    others = {lab: 0 for lab in G.labels if lab not in labels}
-    s_corank = 0
-    n_sing = 0
-    n_deep = 0
-    for vals in itertools.product(F.elements(), repeat=len(labels)):
-        point = dict(zip(labels, vals))
-        point.update(others)
-        r = eval_rank(P, point, F)
-        corank = n - r
-        s_corank += q ** (2 * corank)
-        if corank > 0:
-            n_sing += 1
-        if r < n - 1:
-            n_deep += 1
+    hist = rank_histogram(P, F, labels)
+    s_corank = sum(c * F.q ** (2 * (n - r)) for r, c in enumerate(hist))
+    n_sing = sum(c for r, c in enumerate(hist) if r < n)
+    n_deep = sum(c for r, c in enumerate(hist) if r < n - 1)
     return s_corank, n_sing, n_deep
 
 

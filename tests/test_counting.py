@@ -204,6 +204,16 @@ def test_sing_count_methods_agree(q, corpus):
         assert len(set(counts.values())) == 1, (name, counts)
 
 
+@pytest.mark.parametrize("q", (8, 9))
+def test_rank_route_matches_jacobian_across_outer_assignments(q):
+    # K4 has q^6 points: 8 or 9 outer assignments of the walker, each a block
+    K4 = family("complete", 4)
+    F = make_field(q)
+    jacobian = sing_count(K4, F, "jacobian").raw
+    for threads in (1, 8):
+        assert sing_count(K4, F, "rank", threads=threads).raw == jacobian
+
+
 def test_sing_count_mod_q(corpus, fields):
     for name, G in corpus.items():
         if not is_connected(G) or G.h < 2 or G.edge_count > 6:

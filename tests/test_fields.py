@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from c2lab.counting import count_zeros
@@ -25,6 +26,17 @@ def test_field_axioms(q):
         assert F.mul(x, y) == F.mul(y, x)
         assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
         assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_array_arithmetic_matches_tables(q):
+    F = make_field(q)
+    pairs = list(itertools.product(range(q), repeat=2))
+    a = F.codes(np.array([x for x, _ in pairs]))
+    b = F.codes(np.array([y for _, y in pairs]))
+    for vop, op in ((F.vadd, F.add), (F.vsub, F.sub), (F.vmul, F.mul)):
+        got = F.reduce(vop(a.copy(), b))  # vadd may add into its first operand
+        assert [int(x) for x in got] == [op(x, y) for x, y in pairs]
 
 
 def test_f2_is_xor_and():

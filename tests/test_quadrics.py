@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from c2lab import counting
 from c2lab.counting import count_zeros
 from c2lab.errors import BudgetExceeded, PreconditionUnmet
 from c2lab.fields import make_field
@@ -134,3 +135,47 @@ def test_prop_p15_congruence(q):
                 # the det-zero count really is the phi count with zeroing
                 P = phi(G).subs_zero(set(labels) - set(I))
                 assert n_sing == count_zeros([P], F, size).raw, (G.edges, I)
+
+
+def pointwise_rank(rows, F):
+    """Rank of a square matrix of field codes by scalar Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = F.inv(rows[rank][col])
+        for r in range(rank + 1, len(rows)):
+            f = F.mul(rows[r][col], inv)
+            rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("q, subset", ((3, (1, 2, 3, 4, 5, 6)), (4, (1, 2, 5, 6, 7)), (9, (1, 3, 5))))
+def test_rank_sums_match_pointwise_elimination(q, subset):
+    G = family("wheel", 4)
+    F = make_field(q)
+    n = G.n  # the last vertex is deleted: rows and columns are vertices 1..n
+    want = [0, 0, 0]
+    for vals in itertools.product(F.elements(), repeat=len(subset)):
+        a = dict(zip(subset, vals))
+        lap = [[0] * n for _ in range(n)]
+        for lab, (u, v) in zip(G.labels, G.edges):
+            x = a.get(lab, 0)
+            for s, t, op in ((u, u, F.add), (v, v, F.add), (u, v, F.sub), (v, u, F.sub)):
+                if u != v and s <= n and t <= n:
+                    lap[s - 1][t - 1] = op(lap[s - 1][t - 1], x)
+        r = pointwise_rank(lap, F)
+        want[0] += q ** (2 * (n - r))
+        want[1] += r < n
+        want[2] += r < n - 1
+    assert restricted_matrix_rank_sums(G, F, subset) == tuple(want)
+
+
+def test_rank_sums_respect_default_budget(monkeypatch):
+    monkeypatch.setattr(counting, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetExceeded):
+        restricted_matrix_rank_sums(family("cycle", 3), make_field(3), (1, 2, 3))
