@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import corpus, io
-from .counting import DEFAULT_BUDGET, count_reduced, count_zeros, count_zeros_torus
-from .errors import BadParameter, BudgetExceeded, C2LabError
+from .counting import count_reduced, count_zeros, count_zeros_torus
+from .errors import DEFAULT_BUDGET, BadParameter, BudgetExceeded, C2LabError
 from .fields import make_field
 from .graphs import Graph, census, family
 from .invariants import (
@@ -171,7 +171,7 @@ def _cmd_admissible(args) -> int:
     gid, G = _graph_from_args(args)
     results = []
     if args.mode == "structural":
-        results.append(admissible_structural(G).to_json())
+        results.append(admissible_structural(G, budget=args.budget).to_json())
     else:
         for q in _q_list(args):
             rep = admissible_at_q(G, make_field(q), budget=args.budget, threads=args.threads)

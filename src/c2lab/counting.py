@@ -19,13 +19,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionUnmet
+from .errors import DEFAULT_BUDGET, BudgetExceeded, PreconditionUnmet, check_budget
 from .fields import FqField
 from .graphs import Graph, spanning_trees
 from .matform import PolyMatrix, block_rank, p_matrix
 from .multipoly import MLPoly, phi
 
-DEFAULT_BUDGET = 10**8
 _BLOCK_TARGET = 1 << 16
 _WINDOW = 40000  # int64 terms summed between reductions mod p
 
@@ -59,10 +58,7 @@ class CountReport:
 
 def _check_budget(q: int, n_vars: int, budget: int | None):
     budget = DEFAULT_BUDGET if budget is None else budget
-    if q**n_vars > budget:
-        raise BudgetExceeded(
-            f"enumerating q^n = {q}^{n_vars} points exceeds the budget {budget}"
-        )
+    check_budget(q**n_vars, budget, f"enumerating q^n = {q}^{n_vars} points")
 
 
 def _inner_columns(values: np.ndarray, b: int):

@@ -57,6 +57,19 @@ class BudgetExceeded(C2LabError):
     code = "BudgetExceeded"
 
 
+# The most points or index pairs an enumeration may visit unless the caller
+# sets its own budget.
+DEFAULT_BUDGET = 10**8
+
+
+def check_budget(size: int, budget: int | None, what: str):
+    """Raise BudgetExceeded when an enumeration of ``size`` points or pairs,
+    described by ``what``, passes ``budget`` (None: DEFAULT_BUDGET)."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if size > budget:
+        raise BudgetExceeded(f"{what} exceeds the budget {budget}")
+
+
 class PreconditionUnmet(C2LabError):
     code = "PreconditionUnmet"
 

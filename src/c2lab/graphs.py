@@ -19,6 +19,7 @@ from .errors import (
     NotConnected,
     SelfLoopContraction,
     UnknownFamily,
+    check_budget,
 )
 
 
@@ -142,16 +143,15 @@ def contract(G: Graph, J) -> Graph:
     does not depend on the order of contraction.  Parallel edges created by
     vertex identification are retained.
     """
-    if not is_forest_in(G, J):
-        raise SelfLoopContraction(
-            f"edge set {sorted(J)} contains a cycle; contracting it would "
-            "contract a self-loop"
-        )
     drop = set(_positions(G, J))
     uf = _UnionFind(G.vertex_count)
     for i in drop:
         u, v = G.edges[i]
-        uf.union(u, v)
+        if u == v or not uf.union(u, v):
+            raise SelfLoopContraction(
+                f"edge set {sorted(J)} contains a cycle; contracting it would "
+                "contract a self-loop"
+            )
     reps = sorted({uf.find(v) for v in range(1, G.vertex_count + 1)})
     new_id = {rep: k + 1 for k, rep in enumerate(reps)}
     edges = tuple(
@@ -247,12 +247,13 @@ def girth_at_most(G: Graph, k: int) -> bool:
     return False
 
 
-def census(G: Graph, u: int, v: int) -> tuple[int, int]:
+def census(G: Graph, u: int, v: int, *, budget: int | None = None) -> tuple[int, int]:
     """Count subquotient pairs (I, J) with |I| = h-u and |J| = n-v.
 
     Returns (r, r_bar): r counts ordered pairs of disjoint edge label sets
     for which G\\I//J is connected and co-connected (J acyclic in G\\I);
-    r_bar counts all such pairs.
+    r_bar counts all such pairs.  Raises BudgetExceeded before enumerating
+    when r_bar exceeds ``budget``.
     """
     if u < 0 or v < 0 or u + v > G.edge_count:
         raise InvalidRange(f"census parameters u={u}, v={v} out of range")
@@ -262,6 +263,7 @@ def census(G: Graph, u: int, v: int) -> tuple[int, int]:
         raise InvalidRange(f"census needs u <= h_G={h} and v <= n_G={n}")
     labels = sorted(G.labels)
     r_bar = math.comb(len(labels), di) * math.comb(len(labels) - di, dj)
+    check_budget(r_bar, budget, f"the census of {r_bar} pairs")
     r = 0
     for I in itertools.combinations(labels, di):
         GI = delete(G, I)

@@ -26,19 +26,21 @@ from .errors import (
     DivisibilityViolated,
     NotATriangle,
     PreconditionUnmet,
+    SelfLoopContraction,
+    check_budget,
 )
 from .fields import FqField
 from .graphs import (
     Graph,
+    canonical_form,
     census,
+    contract,
     delete,
     family,
     girth_at_most,
     is_connected,
-    is_forest_in,
     is_isomorphic,
     spanning_tree_count,
-    subquotient,
 )
 from .multipoly import phi, phi_dodgson_pair, phi_two_index, psi, psi_two_index
 from .planar import is_planar
@@ -155,51 +157,69 @@ def _log_divergent_guard(G: Graph):
     _require(G.h >= 3 and G.n >= 3, "admissibility needs h_G, n_G >= 3")
 
 
-def admissible_structural(G: Graph) -> AdmissibilityReport:
+def _scan_sizes(N: int, max_deleted: int) -> list[tuple[int, int]]:
+    """The (|I|, |J|) of a scan, |I| <= max_deleted and |I| < |J| <= N - |I|,
+    ordered by |I| + |J|, then by |I|."""
+    sizes = [(si, sj) for si in range(max_deleted + 1) for sj in range(si + 1, N - si + 1)]
+    sizes.sort(key=lambda p: (p[0] + p[1], p))
+    return sizes
+
+
+def _scan_pairs(G: Graph, sizes):
+    """The disjoint label sets (I, J) of G with the given sizes, in scan
+    order, grouped by I as (I, G\\I, the J's)."""
+    labels = sorted(G.labels)
+    for si, sj in sizes:
+        for I in itertools.combinations(labels, si):
+            rest = [l for l in labels if l not in I]
+            yield I, delete(G, I), itertools.combinations(rest, sj)
+
+
+def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     """Sufficient condition: every subquotient with |I| < |J| is disconnected,
-    has a cycle of length <= 3, or is planar.  Planar G short-circuits."""
+    has a cycle of length <= 3, or is planar.  Planar G short-circuits.
+
+    Raises BudgetExceeded before scanning when the scan has more pairs than
+    ``budget``.
+    """
     _log_divergent_guard(G)
     if is_planar(G):
         return AdmissibilityReport(
             True, "structural", planar_shortcut=True,
             condition_counts={"planar(G)": 1},
         )
-    labels = sorted(G.labels)
+    N = G.edge_count
+    sizes = _scan_sizes(N, N)
+    total = sum(math.comb(N, si) * math.comb(N - si, sj) for si, sj in sizes)
+    check_budget(total, budget, f"the structural scan of {total} pairs")
     counts: dict[str, int] = {}
     examined = 0
     skipped = 0
-    pairs = []
-    for si in range(len(labels) + 1):
-        for sj in range(si + 1, len(labels) - si + 1):
-            pairs.append((si, sj))
-    pairs.sort(key=lambda p: (p[0] + p[1], p))
-    for si, sj in pairs:
-        for I in itertools.combinations(labels, si):
-            rest = [l for l in labels if l not in I]
-            GI = delete(G, I)
-            for J in itertools.combinations(rest, sj):
-                if not is_forest_in(GI, J):
-                    skipped += 1
-                    continue
-                gamma = subquotient(G, I, J)
-                examined += 1
-                if not is_connected(gamma):
-                    counts["disconnected"] = counts.get("disconnected", 0) + 1
-                elif girth_at_most(gamma, 3):
-                    counts["short-cycle"] = counts.get("short-cycle", 0) + 1
-                elif is_planar(gamma):
-                    counts["planar"] = counts.get("planar", 0) + 1
-                else:
-                    return AdmissibilityReport(
-                        False,
-                        "structural",
-                        examined=examined,
-                        skipped_degenerate=skipped,
-                        condition_counts=counts,
-                        failure=(frozenset(I), frozenset(J)),
-                        failure_detail="subquotient is connected, non-planar, "
-                        "and has no cycle of length <= 3",
-                    )
+    for I, GI, Js in _scan_pairs(G, sizes):
+        for J in Js:
+            try:
+                gamma = contract(GI, J)
+            except SelfLoopContraction:
+                skipped += 1
+                continue
+            examined += 1
+            if not is_connected(gamma):
+                counts["disconnected"] = counts.get("disconnected", 0) + 1
+            elif girth_at_most(gamma, 3):
+                counts["short-cycle"] = counts.get("short-cycle", 0) + 1
+            elif is_planar(gamma):
+                counts["planar"] = counts.get("planar", 0) + 1
+            else:
+                return AdmissibilityReport(
+                    False,
+                    "structural",
+                    examined=examined,
+                    skipped_degenerate=skipped,
+                    condition_counts=counts,
+                    failure=(frozenset(I), frozenset(J)),
+                    failure_detail="subquotient is connected, non-planar, "
+                    "and has no cycle of length <= 3",
+                )
     return AdmissibilityReport(
         True, "structural", examined=examined,
         skipped_degenerate=skipped, condition_counts=counts,
@@ -210,41 +230,47 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> A
     """Check the defining congruences [phi^J_I] = 0 mod q^3 at one q.
 
     Scans disjoint pairs with |J| > |I|, |I| <= n_G - 3, cheapest first.
-    Pairs whose dual Dodgson polynomial is identically zero (disconnected or
-    non-contractible subquotients) are skipped: their vanishing ideal is the
-    whole space and carries no graph information.
+    A pair is skipped when G\\I is disconnected or J holds a cycle of G\\I:
+    exactly then the dual Dodgson polynomial phi^J_I is identically zero,
+    its vanishing ideal is the whole space and carries no graph information.
+    Otherwise phi^J_I is phi of the subquotient G\\I//J, and its count
+    depends only on the subquotient's isomorphism class, so each class is
+    counted once per scan.
     """
     _log_divergent_guard(G)
-    labels = sorted(G.labels)
-    N, n = G.edge_count, G.n
     q = F.q
     examined = 0
     skipped = 0
-    pairs = []
-    for si in range(n - 2):
-        for sj in range(si + 1, N - si + 1):
-            pairs.append((si, sj))
-    pairs.sort(key=lambda p: (p[0] + p[1], p))
-    for si, sj in pairs:
-        for I in itertools.combinations(labels, si):
-            rest = [l for l in labels if l not in I]
-            for J in itertools.combinations(rest, sj):
-                P = phi_two_index(G, J, I)
-                if P.is_zero:
-                    skipped += 1
-                    continue
-                examined += 1
-                rep = count_zeros([P], F, N - si - sj, budget=budget, threads=threads)
-                if rep.raw % q**3 != 0:
-                    return AdmissibilityReport(
-                        False,
-                        "at-q",
-                        q=q,
-                        examined=examined,
-                        skipped_degenerate=skipped,
-                        failure=(frozenset(I), frozenset(J)),
-                        failure_detail=f"[phi^J_I] = {rep.raw} is not divisible by q^3",
-                    )
+    class_counts: dict[tuple, int] = {}
+    for I, GI, Js in _scan_pairs(G, _scan_sizes(G.edge_count, G.n - 3)):
+        connected = is_connected(GI)
+        for J in Js:
+            if not connected:
+                skipped += 1
+                continue
+            try:
+                gamma = contract(GI, J)
+            except SelfLoopContraction:
+                skipped += 1
+                continue
+            examined += 1
+            key = canonical_form(gamma)
+            raw = class_counts.get(key)
+            if raw is None:
+                raw = count_zeros(
+                    [phi(gamma)], F, gamma.edge_count, budget=budget, threads=threads
+                ).raw
+                class_counts[key] = raw
+            if raw % q**3 != 0:
+                return AdmissibilityReport(
+                    False,
+                    "at-q",
+                    q=q,
+                    examined=examined,
+                    skipped_degenerate=skipped,
+                    failure=(frozenset(I), frozenset(J)),
+                    failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
+                )
     return AdmissibilityReport(
         True, "at-q", q=q, examined=examined, skipped_degenerate=skipped
     )
@@ -373,12 +399,12 @@ def _v_prop34(G, F, *, budget, threads):
     details = {"spanning_trees": trees}
     ok = True
     for u in range(G.h + 1):
-        r, _ = census(G, u, 0)
+        r, _ = census(G, u, 0, budget=budget)
         expect = math.comb(G.h, u) * trees
         details[f"r({u},0)"] = r
         ok = ok and r == expect
     for u in range(G.n + 1):
-        r, _ = census(G, 0, u)
+        r, _ = census(G, 0, u, budget=budget)
         expect = math.comb(G.n, u) * trees
         details[f"r(0,{u})"] = r
         ok = ok and r == expect
@@ -390,8 +416,8 @@ def _v_cor35(G, F, *, budget, threads):
     details = {}
     ok = True
     for u in range(G.h + 1):
-        a, _ = census(G, u, 0)
-        b, _ = census(G, 0, u)
+        a, _ = census(G, u, 0, budget=budget)
+        b, _ = census(G, 0, u, budget=budget)
         details[f"u={u}"] = [a, b]
         ok = ok and a == b
     return VerifyReport("cor35", ok, None, details)
@@ -423,8 +449,8 @@ def lem36_closed_forms(n: int) -> tuple[int, int]:
 def _v_lem36(G, F, *, budget, threads):
     n = G.n
     _require(is_isomorphic(G, family("Gn", n)), "lem36 is about the G_n family")
-    r12, _ = census(G, 1, 2)
-    r21, _ = census(G, 2, 1)
+    r12, _ = census(G, 1, 2, budget=budget)
+    r21, _ = census(G, 2, 1, budget=budget)
     e12, e21 = lem36_closed_forms(n)
     return VerifyReport(
         "lem36",

@@ -5,7 +5,7 @@ import pytest
 
 from c2lab import invariants, io
 from c2lab.cli import main
-from c2lab.corpus import named_graphs
+from c2lab.corpus import named_graphs, nonplanar_log_divergent
 from c2lab.graphs import Graph, family
 from c2lab.multipoly import MLPoly, phi, psi
 
@@ -100,6 +100,25 @@ def test_cli_admissible(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"][0]["admissible"] is True
+
+
+def test_cli_admissible_structural_budget_exit_code(capsys, tmp_path):
+    # K3,3 plus a doubled edge is non-planar, so its scan has 25,048 pairs
+    path = tmp_path / "k33_doubled.g"
+    path.write_text(io.graph_to_text(nonplanar_log_divergent()))
+    code, out = run_cli(
+        capsys, "admissible", "--graph-file", str(path), "--mode", "structural", "--budget", "1000"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("theorem, spec", [("prop34", "wheel:5"), ("cor35", "wheel:4"), ("lem36", "Gn:3")])
+def test_cli_verify_census_budget_exit_code(capsys, theorem, spec):
+    # each of these theorems takes a census of more than 10 pairs
+    code, out = run_cli(capsys, "verify", "--theorem", theorem, "--family", spec, "--budget", "10")
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "BudgetExceeded"
 
 
 def test_cli_count_reduced_equals_brute(capsys):

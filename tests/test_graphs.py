@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from c2lab.errors import (
     BadParameter,
+    BudgetExceeded,
     InvalidRange,
     NotConnected,
     SelfLoopContraction,
@@ -216,6 +217,13 @@ def test_census_rbar_symmetric_log_divergent(log_divergent):
             if G.h - u < 0 or G.n - v < 0 or G.h - v < 0 or G.n - u < 0:
                 continue
             assert census(G, u, v)[1] == census(G, v, u)[1], name
+
+
+def test_census_budget_bounds_pair_count():
+    # wheel:6 at (u, v) = (2, 0) has C(12, 4) C(8, 6) = 13,860 pairs
+    with pytest.raises(BudgetExceeded):
+        census(family("wheel", 6), 2, 0, budget=10)
+    assert census(family("Gn", 3), 1, 2, budget=60) == (36, 60)
 
 
 def test_census_range_errors():

@@ -1,10 +1,24 @@
+import itertools
+import math
+
 import pytest
 
+from c2lab import invariants
 from c2lab.corpus import nonplanar_log_divergent
-from c2lab.errors import NotATriangle, PreconditionUnmet
+from c2lab.counting import CountReport, count_zeros
+from c2lab.errors import BudgetExceeded, NotATriangle, PreconditionUnmet
 from c2lab.fields import make_field
-from c2lab.graphs import Graph, family
+from c2lab.graphs import (
+    Graph,
+    canonical_form,
+    delete,
+    family,
+    is_connected,
+    is_forest_in,
+    subquotient,
+)
 from c2lab.invariants import (
+    AdmissibilityReport,
     admissible_at_q,
     admissible_structural,
     c2_dual,
@@ -17,6 +31,7 @@ from c2lab.invariants import (
     s_t_sums,
     verify,
 )
+from c2lab.multipoly import phi, phi_two_index
 
 
 def test_c2_dual_banana3():
@@ -110,14 +125,22 @@ def test_admissible_structural_guards():
 
 
 def test_admissible_structural_nonplanar_recorded():
-    # non-planar, log-divergent: run and record; not asserted either way
+    # non-planar, log-divergent: run and record; not asserted either way.
+    # The budget admits exactly the scan's pairs, and one fewer refuses it.
     G = nonplanar_log_divergent()
     assert G.is_log_divergent() and G.h >= 3 and G.n >= 3
-    rep = admissible_structural(G)
+    N = G.edge_count
+    pairs = sum(math.comb(N, si) * math.comb(N - si, sj) for si in range(N + 1)
+                for sj in range(si + 1, N - si + 1))
+    with pytest.raises(BudgetExceeded):
+        admissible_structural(G, budget=pairs - 1)
+    rep = admissible_structural(G, budget=pairs)
     assert rep.mode == "structural"
     assert isinstance(rep.admissible, bool)
     assert rep.examined > 0
-    if not rep.admissible:
+    if rep.admissible:
+        assert rep.examined + rep.skipped_degenerate == pairs
+    else:
         assert rep.failure is not None
 
 
@@ -132,6 +155,130 @@ def test_admissible_at_q_planar_graphs():
 def test_admissible_at_q_guard():
     with pytest.raises(PreconditionUnmet):
         admissible_at_q(family("banana", 4), make_field(2))
+
+
+def _at_q_pairs(G):
+    """Every disjoint (I, J) of the at-q scan, in its order: |J| > |I|,
+    |I| <= n_G - 3, by |I| + |J|, then |I|, then lexicographically."""
+    labels = sorted(G.labels)
+    N = len(labels)
+    sizes = sorted(
+        ((si, sj) for si in range(G.n - 2) for sj in range(si + 1, N - si + 1)),
+        key=lambda p: (p[0] + p[1], p),
+    )
+    for si, sj in sizes:
+        for I in itertools.combinations(labels, si):
+            rest = [l for l in labels if l not in I]
+            for J in itertools.combinations(rest, sj):
+                yield I, J
+
+
+def _dodgson_scan(G, F):
+    """The at-q scan by the Dodgson route with one count per pair: the
+    reference that the scan over subquotient classes must reproduce."""
+    q = F.q
+    examined = skipped = 0
+    for I, J in _at_q_pairs(G):
+        P = phi_two_index(G, J, I)
+        if P.is_zero:
+            skipped += 1
+            continue
+        examined += 1
+        raw = count_zeros([P], F, G.edge_count - len(I) - len(J)).raw
+        if raw % q**3 != 0:
+            return AdmissibilityReport(
+                False, "at-q", q=q, examined=examined, skipped_degenerate=skipped,
+                failure=(frozenset(I), frozenset(J)),
+                failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
+            )
+    return AdmissibilityReport(True, "at-q", q=q, examined=examined, skipped_degenerate=skipped)
+
+
+@pytest.mark.parametrize("name", ["wheel:4", "Gn:4", "complete:4", "Gn:3"])
+def test_phi_two_index_is_phi_of_subquotient(name):
+    # the Dodgson route stays an independent oracle for the at-q scan's
+    # polynomials, and zero exactly on the pairs the scan skips
+    fam, n = name.split(":")
+    G = family(fam, int(n))
+    for I, J in _at_q_pairs(G):
+        GI = delete(G, I)
+        P = phi_two_index(G, J, I)
+        if is_connected(GI) and is_forest_in(GI, J):
+            assert P == phi(subquotient(G, I, J)), (I, J)
+        else:
+            assert P.is_zero, (I, J)
+
+
+_W4_RELABELLED = Graph(
+    ((2, 5), (1, 3), (4, 5), (3, 2), (1, 5), (4, 1), (3, 5), (2, 4)), 5,
+    (9, 3, 12, 1, 7, 5, 2, 11),
+)
+
+
+@pytest.mark.parametrize(
+    "G, q",
+    [
+        (family("wheel", 4), 2),
+        (family("wheel", 4), 3),
+        (family("Gn", 4), 2),
+        (family("Gn", 4), 3),
+        (_W4_RELABELLED, 3),
+    ],
+    ids=["wheel:4-q2", "wheel:4-q3", "Gn:4-q2", "Gn:4-q3", "wheel:4-relabelled-q3"],
+)
+def test_admissible_at_q_matches_dodgson_scan(G, q):
+    F = make_field(q)
+    assert admissible_at_q(G, F).to_json() == _dodgson_scan(G, F).to_json()
+
+
+def _scan_classes(G):
+    """The pairs the at-q scan examines, in order, with their subquotient's class."""
+    return [
+        (I, J, canonical_form(subquotient(G, I, J)))
+        for I, J in _at_q_pairs(G)
+        if not phi_two_index(G, J, I).is_zero
+    ]
+
+
+def _counting(monkeypatch, fail_call=None):
+    """Patch the scan's count to record its calls; call number ``fail_call``
+    reports a count that q^3 does not divide."""
+    calls = []
+
+    def count(polys, F, n_vars, **kw):
+        calls.append(n_vars)
+        if len(calls) == fail_call:
+            return CountReport.from_raw(1, F.q, n_vars)
+        return count_zeros(polys, F, n_vars, **kw)
+
+    monkeypatch.setattr(invariants, "count_zeros", count)
+    return calls
+
+
+def test_admissible_at_q_reports_first_pair_of_failing_class(monkeypatch):
+    G, F = family("wheel", 4), make_field(2)
+    examined = _scan_classes(G)
+    classes = list(dict.fromkeys(key for _, _, key in examined))
+    k = len(classes) // 2  # classes are counted in order of first appearance
+    first = next(i for i, (_, _, key) in enumerate(examined) if key == classes[k])
+    I, J, _ = examined[first]
+    _counting(monkeypatch, fail_call=k + 1)
+    rep = admissible_at_q(G, F)
+    assert not rep.admissible
+    assert rep.failure == (frozenset(I), frozenset(J))
+    assert rep.examined == first + 1
+    pairs = list(_at_q_pairs(G))
+    assert rep.skipped_degenerate == pairs.index((I, J)) + 1 - rep.examined
+
+
+def test_admissible_at_q_counts_each_class_once_per_scan(monkeypatch):
+    G, F = family("wheel", 4), make_field(2)
+    classes = {key for _, _, key in _scan_classes(G)}
+    calls = _counting(monkeypatch)
+    assert admissible_at_q(G, F).admissible
+    assert len(calls) == len(classes)
+    assert admissible_at_q(G, F).admissible
+    assert len(calls) == 2 * len(classes)
 
 
 def test_s_t_sums_equal():
