@@ -3,8 +3,9 @@
 Counts are exact Python integers; residues are derived from the raw count,
 never computed by wraparound.  One lattice walker, ``_walk``, enumerates
 the points in blocks for every brute-force count, parametric here and
-position-space in ``quadrics``, and sums a tally per block: the zeros of
-block evaluators, or a histogram of matrix ranks.  Evaluators are vectorized
+position-space in ``quadrics`` (quadric systems, and the edge weights of
+the quadric union), and sums a tally per block: the zeros of block
+evaluators, or a histogram of matrix ranks.  Evaluators are vectorized
 with numpy through the field's array arithmetic (``FqField.vmul`` and
 friends).  Parallel runs split the outer assignments into ordered chunks,
 so totals are independent of the schedule.

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from c2lab import counting
+from c2lab import counting, quadrics
+from c2lab.corpus import named_graphs
 from c2lab.counting import count_zeros
 from c2lab.errors import BudgetExceeded, PreconditionUnmet
 from c2lab.fields import make_field
@@ -13,6 +14,7 @@ from c2lab.quadrics import (
     quadric_system_count,
     quadric_union_count,
     quadric_union_count_direct,
+    quadric_union_count_walk,
     restricted_matrix_rank_sums,
 )
 
@@ -30,6 +32,13 @@ def test_single_edge_closed_form():
         assert quadric_union_count(g, F).raw == q**3 + q**2 - q
 
 
+def test_parallel_edges_share_one_weight():
+    # 20 parallel edges are one quadric: 3 weights are walked, within a
+    # budget that 3^20 would pass
+    F3 = make_field(3)
+    assert quadric_union_count(family("banana", 20), F3, budget=3**4).raw == 3**3 + 3**2 - 3
+
+
 def test_triangle_matches_direct_oracle():
     tri = family("cycle", 3)
     for q in (2, 3, 4):
@@ -43,39 +52,96 @@ def test_direct_oracle_more_graphs():
         assert quadric_union_count(G, F2).raw == quadric_union_count_direct(G, F2)
 
 
+def star_union(q):
+    # With both edges at the pinned vertex, the union misses exactly the
+    # points where |x_1|^2 and |x_2|^2 are nonzero; |x|^2 = 0 has
+    # q^3 + q^2 - q points in F_q^4.
+    return q**8 - (q**4 - (q**3 + q**2 - q)) ** 2
+
+
+STAR = Graph(((1, 3), (2, 3)), 3)
+
+
 def test_union_closed_form_with_block_boundary_inside_a_vector():
     # at q = 8 the inner block holds 5 coordinates: x_1's last coordinate is
-    # inner and its others outer.  With both edges at the pinned vertex, the
-    # union misses exactly the points where |x_1|^2 and |x_2|^2 are nonzero.
-    q = 8
-    zeros = q**3 + q**2 - q
-    star = Graph(((1, 3), (2, 3)), 3)
-    assert quadric_union_count(star, make_field(q)).raw == q**8 - (q**4 - zeros) ** 2
+    # inner and its others outer.
+    assert quadric_union_count_walk(STAR, make_field(8)).raw == star_union(8)
+
+
+@pytest.mark.parametrize("q", (8, 9, 11, 13))
+def test_union_closed_form_of_the_star(q):
+    # q^8 points pass the default budget from q = 11 on; only q^2 weights are walked
+    assert quadric_union_count(STAR, make_field(q), budget=q**8).raw == star_union(q)
 
 
 def test_self_loop_fills_space():
     g = Graph(((1, 2), (1, 1)), 2)
     F3 = make_field(3)
     assert quadric_union_count(g, F3).raw == 3**4
+    assert quadric_union_count_walk(g, F3).raw == 3**4
 
 
 def test_threads_deterministic():
     K4 = family("complete", 4)
     F2 = make_field(2)
     assert (
-        quadric_union_count(K4, F2, threads=1).raw
-        == quadric_union_count(K4, F2, threads=8).raw
+        quadric_union_count_walk(K4, F2, threads=1).raw
+        == quadric_union_count_walk(K4, F2, threads=8).raw
     )
     F3 = make_field(3)  # 9 outer assignments
     assert (
-        quadric_union_count(K4, F3, threads=1).raw
-        == quadric_union_count(K4, F3, threads=8).raw
+        quadric_union_count_walk(K4, F3, threads=1).raw
+        == quadric_union_count_walk(K4, F3, threads=8).raw
     )
+
+
+def test_threads_deterministic_over_edge_weights():
+    # 7^6 weights: 7 blocks of 7^5, so the weights are split across threads
+    K4, F7 = family("complete", 4), make_field(7)
+    assert (
+        quadric_union_count(K4, F7, budget=7**12, threads=1).raw
+        == quadric_union_count(K4, F7, budget=7**12, threads=8).raw
+    )
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_union_matches_walk_across_corpus(q):
+    F = make_field(q)
+    checked = 0
+    for name, G in named_graphs().items():
+        if G.n >= 1 and q ** (4 * G.n) <= 2 * 10**6:
+            assert quadric_union_count(G, F) == quadric_union_count_walk(G, F), name
+            checked += 1
+    assert checked
+
+
+def test_union_matches_walk_on_gn4():
+    G, F3 = family("Gn", 4), make_field(3)
+    assert quadric_union_count(G, F3) == quadric_union_count_walk(G, F3)
+
+
+def test_union_of_a_disconnected_graph_matches_direct():
+    G, F2 = Graph(((1, 2), (3, 4)), 4), make_field(2)
+    assert quadric_union_count(G, F2).raw == quadric_union_count_direct(G, F2)
+
+
+def test_union_counts_over_edge_weights(monkeypatch):
+    def walked(*args, **kwargs):
+        raise AssertionError("the union walked the 4n-lattice")
+
+    monkeypatch.setattr(quadrics, "_walk_zeros", walked)
+    assert quadric_union_count(family("Gn", 4), make_field(3)).raw % 9 == 0
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         quadric_union_count(family("wheel", 5), make_field(3), budget=10**6)
+
+
+def test_budget_guards_the_edge_weights():
+    # 2^36 points pass the 4n guard; the 2^45 edge weights do not
+    with pytest.raises(BudgetExceeded):
+        quadric_union_count(family("complete", 10), make_field(2), budget=2**36)
 
 
 def test_k4_divisibility_c220():
