@@ -5,7 +5,7 @@ never computed by wraparound.  One lattice walker, ``_walk``, enumerates
 the points in blocks for every brute-force count, parametric here and
 position-space in ``quadrics`` (quadric systems, and the edge weights of
 the quadric union), and sums a tally per block: the zeros of block
-evaluators, or a histogram of matrix ranks.  Evaluators are vectorized
+evaluators, or a joint histogram of zero coordinates and matrix ranks.  Evaluators are vectorized
 with numpy through the field's array arithmetic (``FqField.vmul`` and
 friends).  Parallel runs split the outer assignments into ordered chunks,
 so totals are independent of the schedule.
@@ -175,17 +175,20 @@ def _walk_zeros(
     return _walk(tally, F, m, torus=torus, threads=threads)
 
 
-def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> list[int]:
-    """Entry r counts the points of F_q^labels where M has rank r; every
-    variable of M must be among ``labels``."""
+def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> list[list[int]]:
+    """Entry [z][r] counts the points of F_q^labels with z zero coordinates
+    where M has rank r; every variable of M must be among ``labels``.  The
+    entries are Python ints, so weighted sums of them cannot wrap."""
+    N, d = len(labels), M.dim
 
     def tally(outer, cols, n_outer) -> np.ndarray:
         point = {
             lab: outer[i] if i < n_outer else cols[i - n_outer] for i, lab in enumerate(labels)
         }
-        return np.bincount(block_rank(M, point, F), minlength=M.dim + 1)
+        zeros = sum(x == 0 for x in outer) + sum(c == 0 for c in cols)
+        return np.bincount(zeros * (d + 1) + block_rank(M, point, F), minlength=(N + 1) * (d + 1))
 
-    return [int(c) for c in _walk(tally, F, len(labels), threads=threads)]
+    return _walk(tally, F, N, threads=threads).reshape(N + 1, d + 1).tolist()
 
 
 def _nonconstant(polys, F: FqField, n_vars: int):
@@ -203,6 +206,18 @@ def _nonconstant(polys, F: FqField, n_vars: int):
     return kept, used
 
 
+def _evaluators(polys, F: FqField, var_index: dict) -> list:
+    """One block evaluator per polynomial, with variable v at lattice
+    coordinate ``var_index[v]``.  Terms that vanish mod p are dropped, so a
+    polynomial that vanishes mod p evaluates to 0 and covers every point of
+    a union."""
+    out = []
+    for P in polys:
+        monos = [(c % F.p, tuple(var_index[v] for v in mono)) for mono, c in P.terms()]
+        out.append(partial(_eval_block, [(c, pos, _wide(pos, F.p)) for c, pos in monos if c], F))
+    return out
+
+
 def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: int = 1) -> int:
     """Exact number of common zeros in affine space (or the torus)."""
     split = _nonconstant(polys, F, n_vars)
@@ -210,13 +225,9 @@ def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: in
         return 0
     polys, used = split
     q, m = F.q, len(used)
-    var_index = {v: i for i, v in enumerate(used)}
-    evaluators = []
-    for P in polys:
-        monos = [(c % F.p, tuple(var_index[v] for v in mono)) for mono, c in P.terms()]
-        monos = [(c, pos, _wide(pos, F.p)) for c, pos in monos if c]
-        if monos:  # a polynomial that vanished mod p constrains nothing
-            evaluators.append(partial(_eval_block, monos, F))
+    evaluators = _evaluators(polys, F, {v: i for i, v in enumerate(used)})
+    # a polynomial that vanished mod p has no terms left and constrains nothing
+    evaluators = [ev for ev in evaluators if ev.args[0]]
     raw = _walk_zeros(evaluators, F, m, torus=torus, threads=threads)
     return raw * (q - 1 if torus else q) ** (n_vars - m)
 
@@ -382,6 +393,6 @@ def sing_count(
         return count_zeros(polys, F, N, budget=budget, threads=threads)
     if method == "rank":
         hist = rank_histogram(p_matrix(G), F, sorted(G.labels), threads=threads)
-        raw = sum(c for r, c in enumerate(hist) if r < G.n - 1)
+        raw = sum(c for row in hist for r, c in enumerate(row) if r < G.n - 1)
         return CountReport.from_raw(raw, F.q, N)
     raise PreconditionUnmet(f"unknown sing_count method {method!r}")

@@ -295,7 +295,8 @@ def block_rank(M: PolyMatrix, point: dict, F) -> np.ndarray:
     """
     d = M.dim
     lanes = max((np.size(v) for v in point.values()), default=1)
-    A = np.zeros((lanes, d, d), dtype=np.int64)
+    # int16 holds every entry and elimination product: below 13^2 for q <= 13
+    A = np.zeros((lanes, d, d), dtype=np.int16)
     for i in range(d):
         for j in range(d):
             acc = 0

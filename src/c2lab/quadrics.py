@@ -22,37 +22,33 @@ Then sum_e t_e q_e(x) = (y^1)^T L(t) y^2 + (y^3)^T L(t) y^4.  Each term is
 bilinear, so in every characteristic its character sum is
 q^n * #ker L(t) = q^{2n - rank L(t)}, and S(t) = q^{4n - 2 rank L(t)}.  The
 count thus needs only the joint histogram of (z(t), rank L(t)) over the
-q^N' weights, which the lattice walker computes with
-``matform.block_rank``; the identity asks for no connectivity.
+q^N' weights, which is ``counting.rank_histogram``; the identity asks for
+no connectivity.
 
 The budget guard stays on the q^{4n} points the union counts, the
 documented ``q^n_vars <= budget`` contract of the counting commands; the
 q^N' weights walked are guarded too, since N' can pass 4n from n = 8 on.
-The walker route over the 4n-lattice, one block evaluator per quadric,
-stays as ``quadric_union_count_walk``, and a naive per-point evaluator is
-kept as an independent oracle; ``quadric_system_count`` still walks the
-lattice.
+
+The lattice routes see each edge quadric as an ``MLPoly`` in the 4n
+coordinates and leave the walking to ``counting``: ``quadric_system_count``
+is one ``count_zeros`` call, and the test oracle ``quadric_union_count_walk``
+walks the 4n-lattice for a point where some quadric vanishes.  A naive
+per-point loop, ``quadric_union_count_direct``, is kept as an oracle
+independent of the walker.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .counting import (
-    CountReport, count_zeros, rank_histogram, sing_count, _check_budget, _walk, _walk_zeros,
+    CountReport, count_zeros, rank_histogram, sing_count, _check_budget, _evaluators, _walk_zeros,
 )
 from .errors import PreconditionUnmet
 from .fields import FqField
 from .graphs import Graph, delete, is_connected
-from .matform import PolyMatrix, _p_matrix_for_order, block_rank, p_matrix
-from .multipoly import phi
-
-
-def _coord_index(v: int, j: int) -> int:
-    """Flat coordinate index for vertex v (1-based), component j in 0..3."""
-    return 4 * (v - 1) + j
+from .matform import PolyMatrix, _p_matrix_for_order, p_matrix
+from .multipoly import MLPoly, phi
 
 
 def _edge_quadrics(G: Graph):
@@ -64,49 +60,16 @@ def _edge_quadrics(G: Graph):
     return out
 
 
-def _quadric(F: FqField, s, t):
-    """Block evaluator of the edge quadric d^0 d^1 + d^2 d^3, d = x_s - x_t.
+def _quadric_poly(s, t) -> MLPoly:
+    """The edge quadric d^0 d^1 + d^2 d^3 for d = x_s - x_t, where coordinate
+    j of vertex v is the variable 4(v-1)+j+1 and the pinned vertex (None) is
+    0.  A self-loop's quadric is the zero polynomial."""
 
-    A coordinate is a scalar when it is outer (or pinned) and a column when
-    it is inner.  A difference or product of two scalars stays a scalar, on
-    the table path too, where numpy indexing broadcasts.
-    """
+    def coord(v, j):
+        return MLPoly.zero() if v is None else MLPoly.variable(4 * (v - 1) + j + 1)
 
-    def coord(outer, cols, n_outer, v, j):
-        if v is None:
-            return 0
-        i = _coord_index(v, j)
-        return outer[i] if i < n_outer else cols[i - n_outer]
-
-    def evaluate(outer, cols, n_outer):
-        # This order of allocations keeps malloc from trimming and
-        # re-faulting the heap between blocks: at q = 3 the union of cycle:5
-        # took 279k minor faults, and 417k-771k with the products summed
-        # into the zero block or without the zero block.
-        acc = np.zeros(len(cols[0]) if cols else 1, dtype=F.code_dtype)
-        for j in (0, 2):
-            d1 = F.vsub(coord(outer, cols, n_outer, s, j), coord(outer, cols, n_outer, t, j))
-            d2 = F.vsub(coord(outer, cols, n_outer, s, j + 1), coord(outer, cols, n_outer, t, j + 1))
-            acc = F.vadd(F.vmul(d1, d2), acc)
-        return F.reduce(acc)
-
-    return evaluate
-
-
-def _weight_rank_histogram(H: Graph, F: FqField, *, threads: int = 1) -> np.ndarray:
-    """Entry [z, r] counts the weights t in F_q^{N} with z zero coordinates
-    where L(t) has rank r; H has N edges."""
-    L = _p_matrix_for_order(H, range(1, H.vertex_count))
-    N, d = H.edge_count, L.dim
-
-    def tally(outer, cols, n_outer) -> np.ndarray:
-        point = {
-            lab: outer[i] if i < n_outer else cols[i - n_outer] for i, lab in enumerate(H.labels)
-        }
-        zeros = sum(x == 0 for x in outer) + sum(c == 0 for c in cols)
-        return np.bincount(zeros * (d + 1) + block_rank(L, point, F), minlength=(N + 1) * (d + 1))
-
-    return _walk(tally, F, N, threads=threads).reshape(N + 1, d + 1)
+    d = [coord(s, j) - coord(t, j) for j in range(4)]
+    return d[0] * d[1] + d[2] * d[3]
 
 
 def quadric_union_count(
@@ -127,10 +90,12 @@ def quadric_union_count(
     H = Graph(tuple(dict.fromkeys(G.edges)), G.vertex_count)
     N = H.edge_count
     _check_budget(q, N, budget)
-    hist = _weight_rank_histogram(H, F, threads=threads)
+    L = _p_matrix_for_order(H, range(1, H.vertex_count))
+    hist = rank_histogram(L, F, H.labels, threads=threads)
     total = sum(
-        int(c) * (q - 1) ** z * (-1) ** (N - z) * q ** (m - 2 * r)
-        for (z, r), c in np.ndenumerate(hist)
+        c * (q - 1) ** z * (-1) ** (N - z) * q ** (m - 2 * r)
+        for z, row in enumerate(hist)
+        for r, c in enumerate(row)
     )
     nonzero, rem = divmod(total, q**N)
     assert rem == 0, "the character sum over edge weights is not divisible by q^N'"
@@ -140,14 +105,15 @@ def quadric_union_count(
 def quadric_union_count_walk(
     G: Graph, F: FqField, *, budget: int | None = None, threads: int = 1
 ) -> CountReport:
-    """Test oracle: the union walked on the 4n-lattice, one block evaluator
-    per edge quadric (a self-loop's evaluator is zero everywhere)."""
+    """Test oracle: the union walked on the 4n-lattice, coordinate i at
+    lattice index i - 1 (a self-loop's zero quadric covers every point)."""
     n = G.n
     if n < 1:
         raise PreconditionUnmet("position space needs at least one free vertex")
     m = 4 * n
     _check_budget(F.q, m, budget)
-    evaluators = [_quadric(F, s, t) for s, t in _edge_quadrics(G)]
+    polys = [_quadric_poly(s, t) for s, t in _edge_quadrics(G)]
+    evaluators = _evaluators(polys, F, {i: i - 1 for i in range(1, m + 1)})
     raw = _walk_zeros(evaluators, F, m, any_zero=True, threads=threads)
     return CountReport.from_raw(raw, F.q, m)
 
@@ -163,7 +129,7 @@ def quadric_union_count_direct(G: Graph, F: FqField, limit: int = 1 << 20) -> in
     for point in itertools.product(F.elements(), repeat=m):
 
         def comp(v, j):
-            return 0 if v is None else point[_coord_index(v, j)]
+            return 0 if v is None else point[4 * (v - 1) + j]
 
         for s, t in pairs:
             acc = 0
@@ -181,13 +147,11 @@ def quadric_system_count(
     G: Graph, F: FqField, edge_subset, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Common zeros of the quadrics of ``edge_subset`` in F_q^{4n}."""
-    m = 4 * G.n
-    _check_budget(F.q, m, budget)
     subset = set(edge_subset)
-    evaluators = [
-        _quadric(F, s, t) for lab, (s, t) in zip(G.labels, _edge_quadrics(G)) if lab in subset
+    polys = [
+        _quadric_poly(s, t) for lab, (s, t) in zip(G.labels, _edge_quadrics(G)) if lab in subset
     ]
-    return _walk_zeros(evaluators, F, m, threads=threads)
+    return count_zeros(polys, F, 4 * G.n, budget=budget, threads=threads).raw
 
 
 def restricted_matrix_rank_sums(G: Graph, F: FqField, edge_subset):
@@ -201,7 +165,7 @@ def restricted_matrix_rank_sums(G: Graph, F: FqField, edge_subset):
     others = set(G.labels) - set(labels)
     P = PolyMatrix(tuple(tuple(e.subs_zero(others) for e in row) for row in p_matrix(G).entries))
     n = G.n
-    hist = rank_histogram(P, F, labels)
+    hist = [sum(col) for col in zip(*rank_histogram(P, F, labels))]  # over the zero axis
     s_corank = sum(c * F.q ** (2 * (n - r)) for r, c in enumerate(hist))
     n_sing = sum(c for r, c in enumerate(hist) if r < n)
     n_deep = sum(c for r, c in enumerate(hist) if r < n - 1)

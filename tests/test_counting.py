@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from c2lab.counting import (
     count_via_torus_strata,
     count_zeros,
     count_zeros_torus,
+    rank_histogram,
     sing_count,
 )
 from c2lab.errors import BudgetExceeded, PreconditionUnmet
 from c2lab.fields import make_field
 from c2lab.graphs import Graph, family, is_connected
+from c2lab.matform import p_matrix
 from c2lab.multipoly import MLPoly, phi, phi_two_index, psi, psi_two_index
 
 a = MLPoly.variable
@@ -212,6 +215,18 @@ def test_rank_route_matches_jacobian_across_outer_assignments(q):
     jacobian = sing_count(K4, F, "jacobian").raw
     for threads in (1, 8):
         assert sing_count(K4, F, "rank", threads=threads).raw == jacobian
+
+
+@pytest.mark.parametrize("q", (3, 4, 7))
+def test_rank_histogram_rows_count_zero_coordinates(q):
+    # row z holds the C(N, z) (q-1)^(N-z) points with exactly z zero
+    # coordinates; at q = 7 the first coordinate is outer, the rest inner
+    K4 = family("complete", 4)
+    hist = rank_histogram(p_matrix(K4), make_field(q), sorted(K4.labels))
+    N = K4.edge_count
+    assert [sum(row) for row in hist] == [math.comb(N, z) * (q - 1) ** (N - z) for z in range(N + 1)]
+    assert hist[N] == [1, 0, 0, 0]  # the zero matrix
+    assert all(type(c) is int for row in hist for c in row)
 
 
 def test_sing_count_mod_q(corpus, fields):

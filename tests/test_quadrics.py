@@ -186,6 +186,31 @@ def test_prop_p14_identity(q):
                 assert lhs == rhs, (G.edges, I)
 
 
+@pytest.mark.parametrize("name", ("triangle_loop", "theta"))
+@pytest.mark.parametrize("q", (2, 3))
+def test_system_count_matches_pointwise_loop(name, q, corpus):
+    # a self-loop's quadric constrains nothing; parallel edges repeat one
+    G = corpus[name]
+    n = G.n
+
+    def vec(x, v):
+        return x[4 * (v - 1) : 4 * v] if v <= n else (0, 0, 0, 0)
+
+    zero_sets = []
+    for x in itertools.product(range(q), repeat=4 * n):
+        zeros = set()
+        for lab, (u, v) in zip(G.labels, G.edges):
+            d = [a - b for a, b in zip(vec(x, u), vec(x, v))]
+            if (d[0] * d[1] + d[2] * d[3]) % q == 0:
+                zeros.add(lab)
+        zero_sets.append(zeros)
+    F = make_field(q)
+    for size in range(G.edge_count + 1):
+        for I in itertools.combinations(G.labels, size):
+            want = sum(set(I) <= zeros for zeros in zero_sets)
+            assert quadric_system_count(G, F, I) == want, I
+
+
 @pytest.mark.parametrize("q", (2, 3))
 def test_prop_p15_congruence(q):
     # [P_I x^2, P_I x^4] = q^{|I|} + (q^2-1)[det=0] - q^2[rank<n-1]  mod q^4
@@ -220,7 +245,9 @@ def pointwise_rank(rows, F):
     return rank
 
 
-@pytest.mark.parametrize("q, subset", ((3, (1, 2, 3, 4, 5, 6)), (4, (1, 2, 5, 6, 7)), (9, (1, 3, 5))))
+@pytest.mark.parametrize(
+    "q, subset", ((3, (1, 2, 3, 4, 5, 6)), (4, (1, 2, 5, 6, 7)), (9, (1, 3, 5)), (13, (1, 3, 5)))
+)
 def test_rank_sums_match_pointwise_elimination(q, subset):
     G = family("wheel", 4)
     F = make_field(q)
