@@ -52,7 +52,7 @@ def _graph_from_args(args) -> tuple[str, Graph]:
         if ":" not in spec:
             raise C2LabError("family spec must look like name:n, e.g. wheel:3")
         name, _, param = spec.partition(":")
-        return spec, family(name, int(param))
+        return spec, family(name, io.parse_int(param, "family parameter"))
     raise C2LabError("a graph source is required (--graph-file or --family)")
 
 
@@ -208,7 +208,7 @@ def _cmd_census(args) -> int:
 def _cmd_diag(args) -> int:
     gid, G = _graph_from_args(args)
     if args.tree:
-        T = frozenset(int(x) for x in args.tree.split(","))
+        T = frozenset(io.parse_int(x, "tree label") for x in args.tree.split(","))
     else:
         from .graphs import spanning_trees
 

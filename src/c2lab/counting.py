@@ -193,13 +193,16 @@ def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> li
 
 def _nonconstant(polys, F: FqField, n_vars: int):
     """The polynomials that involve variables, with their sorted variables;
-    None when a nonzero constant leaves the system without zeros."""
+    None when a nonzero constant leaves the system without zeros.  A
+    polynomial whose coefficients all vanish mod p constrains nothing, like
+    a zero constant, and is dropped."""
     kept = []
     for P in polys:
-        if P.variables():
-            kept.append(P)
-        elif F.embed_int(P.constant_term()) != 0:
+        if all(c % F.p == 0 for _, c in P.terms()):
+            continue
+        if not P.variables():
             return None
+        kept.append(P)
     used = sorted(set().union(*(P.variables() for P in kept)))
     if n_vars < len(used):
         raise PreconditionUnmet(f"system uses {len(used)} variables but ambient is {n_vars}")
@@ -226,8 +229,6 @@ def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: in
     polys, used = split
     q, m = F.q, len(used)
     evaluators = _evaluators(polys, F, {v: i for i, v in enumerate(used)})
-    # a polynomial that vanished mod p has no terms left and constrains nothing
-    evaluators = [ev for ev in evaluators if ev.args[0]]
     raw = _walk_zeros(evaluators, F, m, torus=torus, threads=threads)
     return raw * (q - 1 if torus else q) ** (n_vars - m)
 

@@ -126,14 +126,20 @@ def delete(G: Graph, I) -> Graph:
     return Graph(edges, G.vertex_count, labels)
 
 
-def is_forest_in(G: Graph, J) -> bool:
-    """True iff the edges labeled by J contain no cycle of G."""
+def _forest(G: Graph, positions) -> _UnionFind | None:
+    """The union-find of the edges of G at ``positions``, or None when they
+    hold a cycle (a self-loop is one)."""
     uf = _UnionFind(G.vertex_count)
-    for i in _positions(G, J):
+    for i in positions:
         u, v = G.edges[i]
         if u == v or not uf.union(u, v):
-            return False
-    return True
+            return None
+    return uf
+
+
+def is_forest_in(G: Graph, J) -> bool:
+    """True iff the edges labeled by J contain no cycle of G."""
+    return _forest(G, _positions(G, J)) is not None
 
 
 def contract(G: Graph, J) -> Graph:
@@ -144,14 +150,12 @@ def contract(G: Graph, J) -> Graph:
     vertex identification are retained.
     """
     drop = set(_positions(G, J))
-    uf = _UnionFind(G.vertex_count)
-    for i in drop:
-        u, v = G.edges[i]
-        if u == v or not uf.union(u, v):
-            raise SelfLoopContraction(
-                f"edge set {sorted(J)} contains a cycle; contracting it would "
-                "contract a self-loop"
-            )
+    uf = _forest(G, drop)
+    if uf is None:
+        raise SelfLoopContraction(
+            f"edge set {sorted(J)} contains a cycle; contracting it would "
+            "contract a self-loop"
+        )
     reps = sorted({uf.find(v) for v in range(1, G.vertex_count + 1)})
     new_id = {rep: k + 1 for k, rep in enumerate(reps)}
     edges = tuple(
@@ -182,18 +186,11 @@ def _spanning_tree_masks(G: Graph) -> list[int]:
         return [0]
     if len(G.edges) < n:
         return []
-    idx = list(range(len(G.edges)))
-    out = []
-    for combo in itertools.combinations(idx, n):
-        uf = _UnionFind(G.vertex_count)
-        ok = True
-        for i in combo:
-            u, v = G.edges[i]
-            if u == v or not uf.union(u, v):
-                ok = False
-                break
-        if ok:
-            out.append(edge_mask(G.labels[i] for i in combo))
+    out = [
+        edge_mask(G.labels[i] for i in combo)
+        for combo in itertools.combinations(range(len(G.edges)), n)
+        if _forest(G, combo) is not None
+    ]
     out.sort()
     return out
 
@@ -210,69 +207,127 @@ def spanning_tree_count(G: Graph) -> int:
     return len(_spanning_tree_masks(G))
 
 
-def girth_at_most(G: Graph, k: int) -> bool:
-    """True iff G has a cycle of length <= k (self-loop counts 1, double edge 2)."""
+def _simple_reduction(G: Graph):
+    """Loop labels, and parallel classes keyed by endpoint pair."""
+    loops = []
+    classes: dict[tuple[int, int], list[int]] = {}
+    for lab, (u, v) in zip(G.labels, G.edges):
+        if u == v:
+            loops.append((lab, u))
+        else:
+            classes.setdefault((u, v), []).append(lab)
+    for labs in classes.values():
+        labs.sort()
+    return loops, classes
+
+
+def shortest_cycle(G: Graph, k: int | None = None):
+    """Sorted edge labels of a shortest cycle of length <= k (any length when
+    k is None), or None.
+
+    A self-loop has length 1 and a parallel pair length 2; the least loop,
+    then the two least labels of the parallel class with the least label,
+    win.  Otherwise each edge, in label order, is closed by a shortest path
+    that avoids it, found by BFS to depth k - 1; the first shortest such
+    cycle wins, so a triangle ends the search.
+    """
+    k = G.edge_count if k is None else k
     if k < 1:
-        return False
-    if any(u == v for u, v in G.edges):
-        return True
-    if k >= 2:
-        seen = set()
-        for e in G.edges:
-            if e in seen:
-                return True
-            seen.add(e)
+        return None
+    loops, classes = _simple_reduction(G)
+    if loops:
+        return (min(loops)[0],)
+    parallel = [labs for labs in classes.values() if len(labs) >= 2]
+    if k >= 2 and parallel:
+        return tuple(min(parallel)[:2])
     if k < 3:
-        return False
-    # Shortest simple cycle through each edge: remove it, then BFS.
+        return None
+    edges = sorted((labs[0], u, v) for (u, v), labs in classes.items())
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, G.vertex_count + 1)}
-    for i, (u, v) in enumerate(G.edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    for i, (s, t) in enumerate(G.edges):
-        dist = {s: 0}
+    for lab, u, v in edges:
+        adj[u].append((v, lab))
+        adj[v].append((u, lab))
+    best = None
+    for lab, s, t in edges:
+        prev = {s: None}
         frontier = [s]
-        while frontier and t not in dist:
+        for _ in range(k - 1):
+            if t in prev or not frontier:
+                break
             nxt = []
             for x in frontier:
-                if dist[x] + 1 > k - 1:
-                    continue
-                for y, j in adj[x]:
-                    if j != i and y not in dist:
-                        dist[y] = dist[x] + 1
+                for y, l2 in adj[x]:
+                    if l2 != lab and y not in prev:
+                        prev[y] = (x, l2)
                         nxt.append(y)
             frontier = nxt
-        if t in dist and dist[t] + 1 <= k:
-            return True
-    return False
+        if t in prev:
+            cyc, x = [lab], t
+            while prev[x] is not None:
+                x, l2 = prev[x]
+                cyc.append(l2)
+            best = tuple(sorted(cyc))
+            k = len(best) - 1  # only a strictly shorter cycle can replace it
+            if k < 3:
+                return best
+    return best
+
+
+def girth_at_most(G: Graph, k: int) -> bool:
+    """True iff G has a cycle of length <= k (self-loop counts 1, double edge 2)."""
+    return shortest_cycle(G, k) is not None
+
+
+def scan_sizes(N: int, max_deleted: int) -> list[tuple[int, int]]:
+    """The (|I|, |J|) of an admissibility scan, |I| <= max_deleted and
+    |I| < |J| <= N - |I|, ordered by |I| + |J|, then by |I|."""
+    sizes = [(si, sj) for si in range(max_deleted + 1) for sj in range(si + 1, N - si + 1)]
+    sizes.sort(key=lambda p: (p[0] + p[1], p))
+    return sizes
+
+
+def scan_pairs(G: Graph, sizes, *, budget: int | None, what: str):
+    """The disjoint label sets (I, J) of G with (|I|, |J|) in ``sizes``:
+    their number, and an iterator over them grouped by I as
+    (I, G\\I, whether G\\I is connected, the J's), sizes in the given
+    order and label sets in lexicographic order.
+
+    A pair is degenerate when G\\I is disconnected or J holds a cycle of
+    G\\I (``is_forest_in`` fails, ``contract`` raises): exactly then
+    G\\I//J is not a connected subquotient and phi^J_I vanishes.  Raises
+    BudgetExceeded, as ``what`` of that many pairs, before the first pair
+    when their number exceeds ``budget``.
+    """
+    N = G.edge_count
+    total = sum(math.comb(N, si) * math.comb(N - si, sj) for si, sj in sizes)
+    check_budget(total, budget, f"{what} of {total} pairs")
+    return total, _pair_groups(G, sizes)
+
+
+def _pair_groups(G: Graph, sizes):
+    labels = sorted(G.labels)
+    for si, sj in sizes:
+        for I in itertools.combinations(labels, si):
+            GI = delete(G, I)
+            rest = [l for l in labels if l not in I]
+            yield I, GI, is_connected(GI), itertools.combinations(rest, sj)
 
 
 def census(G: Graph, u: int, v: int, *, budget: int | None = None) -> tuple[int, int]:
     """Count subquotient pairs (I, J) with |I| = h-u and |J| = n-v.
 
-    Returns (r, r_bar): r counts ordered pairs of disjoint edge label sets
-    for which G\\I//J is connected and co-connected (J acyclic in G\\I);
-    r_bar counts all such pairs.  Raises BudgetExceeded before enumerating
-    when r_bar exceeds ``budget``.
+    Returns (r, r_bar): r counts the ordered pairs of disjoint edge label
+    sets that are not degenerate (see ``scan_pairs``): G\\I//J is connected
+    and co-connected; r_bar counts all such pairs.  Raises BudgetExceeded
+    before enumerating when r_bar exceeds ``budget``.
     """
     if u < 0 or v < 0 or u + v > G.edge_count:
         raise InvalidRange(f"census parameters u={u}, v={v} out of range")
     h, n = G.h, G.n
-    di, dj = h - u, n - v
-    if di < 0 or dj < 0:
+    if u > h or v > n:
         raise InvalidRange(f"census needs u <= h_G={h} and v <= n_G={n}")
-    labels = sorted(G.labels)
-    r_bar = math.comb(len(labels), di) * math.comb(len(labels) - di, dj)
-    check_budget(r_bar, budget, f"the census of {r_bar} pairs")
-    r = 0
-    for I in itertools.combinations(labels, di):
-        GI = delete(G, I)
-        if not is_connected(GI):
-            continue
-        rest = [l for l in labels if l not in I]
-        for J in itertools.combinations(rest, dj):
-            if is_forest_in(GI, J):
-                r += 1
+    r_bar, pairs = scan_pairs(G, [(h - u, n - v)], budget=budget, what="the census")
+    r = sum(is_forest_in(GI, J) for _, GI, connected, Js in pairs if connected for J in Js)
     return r, r_bar
 
 

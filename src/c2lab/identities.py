@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BadIndices
-from .graphs import Graph, contract, delete, girth_at_most, is_connected
+from .graphs import Graph, _simple_reduction, contract, delete, shortest_cycle
 from .multipoly import (
     MLPoly,
     phi,
@@ -282,12 +282,10 @@ def default_identity_indices(G: Graph, name: str):
             if u == v:
                 yield {"k": k}
     elif name == "e101":
-        seen = set()
-        for a, b in itertools.combinations(labels, 2):
-            ea, eb = G.endpoints(a), G.endpoints(b)
-            if ea == eb and ea[0] != ea[1] and ea not in seen:
-                seen.add(ea)
-                yield {"pair": (a, b)}
+        # the two least labels of each parallel class, by least label
+        _, classes = _simple_reduction(G)
+        for labs in sorted(labs for labs in classes.values() if len(labs) >= 2):
+            yield {"pair": (labs[0], labs[1])}
     elif name in ("c14", "c15", "cor7"):
         key = ("i", "j") if name != "cor7" else ("i", "k")
         for i, j in itertools.combinations(labels, 2):
@@ -324,51 +322,7 @@ def default_identity_indices(G: Graph, name: str):
             if len(deg[v]) >= 2:
                 yield {"edges": tuple(sorted(deg[v]))}
     elif name == "c101":
-        cyc = _find_short_cycle(G)
+        cyc = shortest_cycle(G)
         if cyc:
             yield {"edges": cyc}
 
-
-def _find_short_cycle(G: Graph):
-    """Edge labels of one shortest cycle (loops and parallel pairs included)."""
-    for lab in sorted(G.labels):
-        u, v = G.endpoints(lab)
-        if u == v:
-            return (lab,)
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for lab in sorted(G.labels):
-        pairs.setdefault(G.endpoints(lab), []).append(lab)
-    for labs in pairs.values():
-        if len(labs) >= 2:
-            return tuple(labs[:2])
-    if not girth_at_most(G, G.edge_count):
-        return None
-    # BFS shortest cycle on a simple graph
-    best = None
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for lab in sorted(G.labels):
-        u, v = G.endpoints(lab)
-        adj.setdefault(u, []).append((v, lab))
-        adj.setdefault(v, []).append((u, lab))
-    for lab in sorted(G.labels):
-        s, t = G.endpoints(lab)
-        prev = {s: (None, None)}
-        frontier = [s]
-        while frontier and t not in prev:
-            nxt = []
-            for x in frontier:
-                for y, l2 in adj[x]:
-                    if l2 != lab and y not in prev:
-                        prev[y] = (x, l2)
-                        nxt.append(y)
-            frontier = nxt
-        if t in prev:
-            path = []
-            cur = t
-            while prev[cur][0] is not None:
-                path.append(prev[cur][1])
-                cur = prev[cur][0]
-            cyc = tuple(sorted([lab] + path))
-            if best is None or len(cyc) < len(best):
-                best = cyc
-    return best

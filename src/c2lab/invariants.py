@@ -27,7 +27,6 @@ from .errors import (
     NotATriangle,
     PreconditionUnmet,
     SelfLoopContraction,
-    check_budget,
 )
 from .fields import FqField
 from .graphs import (
@@ -35,11 +34,12 @@ from .graphs import (
     canonical_form,
     census,
     contract,
-    delete,
     family,
     girth_at_most,
     is_connected,
     is_isomorphic,
+    scan_pairs,
+    scan_sizes,
     spanning_tree_count,
 )
 from .multipoly import phi, phi_dodgson_pair, phi_two_index, psi, psi_two_index
@@ -157,27 +157,11 @@ def _log_divergent_guard(G: Graph):
     _require(G.h >= 3 and G.n >= 3, "admissibility needs h_G, n_G >= 3")
 
 
-def _scan_sizes(N: int, max_deleted: int) -> list[tuple[int, int]]:
-    """The (|I|, |J|) of a scan, |I| <= max_deleted and |I| < |J| <= N - |I|,
-    ordered by |I| + |J|, then by |I|."""
-    sizes = [(si, sj) for si in range(max_deleted + 1) for sj in range(si + 1, N - si + 1)]
-    sizes.sort(key=lambda p: (p[0] + p[1], p))
-    return sizes
-
-
-def _scan_pairs(G: Graph, sizes):
-    """The disjoint label sets (I, J) of G with the given sizes, in scan
-    order, grouped by I as (I, G\\I, the J's)."""
-    labels = sorted(G.labels)
-    for si, sj in sizes:
-        for I in itertools.combinations(labels, si):
-            rest = [l for l in labels if l not in I]
-            yield I, delete(G, I), itertools.combinations(rest, sj)
-
-
 def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     """Sufficient condition: every subquotient with |I| < |J| is disconnected,
     has a cycle of length <= 3, or is planar.  Planar G short-circuits.
+    Of the degenerate pairs (``graphs.scan_pairs``) only those whose J holds
+    a cycle of G\\I are skipped; a disconnected G\\I//J meets the condition.
 
     Raises BudgetExceeded before scanning when the scan has more pairs than
     ``budget``.
@@ -189,13 +173,11 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
             condition_counts={"planar(G)": 1},
         )
     N = G.edge_count
-    sizes = _scan_sizes(N, N)
-    total = sum(math.comb(N, si) * math.comb(N - si, sj) for si, sj in sizes)
-    check_budget(total, budget, f"the structural scan of {total} pairs")
+    _, pairs = scan_pairs(G, scan_sizes(N, N), budget=budget, what="the structural scan")
     counts: dict[str, int] = {}
     examined = 0
     skipped = 0
-    for I, GI, Js in _scan_pairs(G, sizes):
+    for I, GI, connected, Js in pairs:
         for J in Js:
             try:
                 gamma = contract(GI, J)
@@ -203,7 +185,7 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
                 skipped += 1
                 continue
             examined += 1
-            if not is_connected(gamma):
+            if not connected:  # contracting a forest keeps the components
                 counts["disconnected"] = counts.get("disconnected", 0) + 1
             elif girth_at_most(gamma, 3):
                 counts["short-cycle"] = counts.get("short-cycle", 0) + 1
@@ -230,20 +212,24 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> A
     """Check the defining congruences [phi^J_I] = 0 mod q^3 at one q.
 
     Scans disjoint pairs with |J| > |I|, |I| <= n_G - 3, cheapest first.
-    A pair is skipped when G\\I is disconnected or J holds a cycle of G\\I:
-    exactly then the dual Dodgson polynomial phi^J_I is identically zero,
+    A pair is skipped when it is degenerate (``graphs.scan_pairs``: G\\I is
+    disconnected or J holds a cycle of G\\I): exactly then the dual Dodgson
+    polynomial phi^J_I is identically zero,
     its vanishing ideal is the whole space and carries no graph information.
     Otherwise phi^J_I is phi of the subquotient G\\I//J, and its count
     depends only on the subquotient's isomorphism class, so each class is
-    counted once per scan.
+    counted once per scan.  Raises BudgetExceeded before scanning when
+    the scan has more pairs than ``budget``, which also bounds each count.
     """
     _log_divergent_guard(G)
     q = F.q
     examined = 0
     skipped = 0
     class_counts: dict[tuple, int] = {}
-    for I, GI, Js in _scan_pairs(G, _scan_sizes(G.edge_count, G.n - 3)):
-        connected = is_connected(GI)
+    _, pairs = scan_pairs(
+        G, scan_sizes(G.edge_count, G.n - 3), budget=budget, what="the at-q scan"
+    )
+    for I, GI, connected, Js in pairs:
         for J in Js:
             if not connected:
                 skipped += 1
@@ -280,17 +266,16 @@ def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None, threads: int = 1) -> 
     """The torus sums S_t for Psi and for phi over all |I| = |J| = t.
 
     Cremona invariance of the proof's S_t elements means the two sums must
-    be equal.
+    be equal.  Raises BudgetExceeded before summing when there are more
+    pairs than ``budget``, which also bounds each count.
     """
     _require(1 <= t <= G.n, "S_t needs 1 <= t <= n_G")
-    labels = sorted(G.labels)
-    N = G.edge_count
+    _, pairs = scan_pairs(G, [(t, t)], budget=budget, what="the S_t sums")
+    amb = G.edge_count - 2 * t
     s_psi = 0
     s_phi = 0
-    for I in itertools.combinations(labels, t):
-        rest = [l for l in labels if l not in I]
-        for J in itertools.combinations(rest, t):
-            amb = N - 2 * t
+    for I, _, _, Js in pairs:
+        for J in Js:
             s_psi += count_zeros_torus(
                 [psi_two_index(G, I, J)], F, amb, budget=budget, threads=threads
             ).raw

@@ -24,15 +24,23 @@ def graph_from_text(text: str) -> Graph:
     rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not rows or rows[0][:1] != ["p"] or len(rows[0]) != 3:
         raise BadParameter("graph text must start with a 'p N M' header")
-    n_edges, n_vertices = int(rows[0][1]), int(rows[0][2])
+    n_edges, n_vertices = parse_int(rows[0][1], "edge count"), parse_int(rows[0][2], "vertex count")
     if len(rows) - 1 != n_edges:
         raise BadParameter(f"header promises {n_edges} edges, found {len(rows) - 1}")
     edges = []
     for row in rows[1:]:
         if len(row) != 2:
             raise BadParameter(f"bad edge line {' '.join(row)!r}")
-        edges.append((int(row[0]), int(row[1])))
+        edges.append((parse_int(row[0], "endpoint"), parse_int(row[1], "endpoint")))
     return Graph(tuple(edges), n_vertices)
+
+
+def parse_int(text: str, what: str) -> int:
+    """An integer field of outside input; BadParameter names ``what``."""
+    try:
+        return int(text)
+    except ValueError as e:
+        raise BadParameter(f"bad {what} {text!r}") from e
 
 
 def graph_to_json_dict(G: Graph) -> dict:
@@ -52,7 +60,11 @@ def load_graph(path: str) -> Graph:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return graph_from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as e:
+            raise BadParameter(f"bad graph JSON: {e}") from e
+        return graph_from_json_dict(data)
     return graph_from_text(text)
 
 

@@ -13,23 +13,9 @@ from __future__ import annotations
 import networkx as nx
 
 from .errors import NotConnected, NotPlanar
-from .graphs import Graph, is_connected
+from .graphs import Graph, _simple_reduction, is_connected
 
 # A dart is (edge label, end); end 0 leaves the lower endpoint, end 1 the higher.
-
-
-def _simple_reduction(G: Graph):
-    """Loop labels, and parallel classes keyed by endpoint pair."""
-    loops = []
-    classes: dict[tuple[int, int], list[int]] = {}
-    for lab, (u, v) in zip(G.labels, G.edges):
-        if u == v:
-            loops.append((lab, u))
-        else:
-            classes.setdefault((u, v), []).append(lab)
-    for labs in classes.values():
-        labs.sort()
-    return loops, classes
 
 
 def is_planar(G: Graph) -> bool:

@@ -177,7 +177,7 @@ def test_cli_c2_keeps_legs_past_position_budget(capsys):
     assert res["c2_pos"] is None and res["c2_pos_reason"].startswith("BudgetExceeded")
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(capsys, tmp_path):
     code, out = run_cli(capsys, "c2", "--family", "nosuch:3", "--q", "2")
     assert code == 2
     code, out = run_cli(capsys, "c2", "--family", "wheel:3")
@@ -188,6 +188,33 @@ def test_cli_usage_errors(capsys):
     assert code == 2  # two graph sources
     code, _ = run_cli(capsys, "count", "--graph-file", "missing_file.g", "--q", "2")
     assert code == 2
+    # malformed specs and files are input errors with a JSON report, not tracebacks
+    for argv in (
+        ("family", "--family", "wheel:x"),
+        ("family", "--family", "wheel:"),
+        ("diag", "--family", "complete:4", "--tree", "1,x"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["code"] == "BadParameter", argv
+    for name, text in (
+        ("header.g", "p 2 x\n1 2\n2 1\n"),
+        ("edge.g", "p 1 2\n1 y\n"),
+        ("truncated.json", '{"vertices": 2, "edges": [[1, 2]'),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out = run_cli(capsys, "family", "--graph-file", str(path))
+        assert code == 2, name
+        assert json.loads(out)["error"]["code"] == "BadParameter", name
+
+
+def test_cli_at_q_budget_exit_code(capsys):
+    code, out = run_cli(
+        capsys, "admissible", "--family", "wheel:4", "--mode", "at-q", "--q", "2", "--budget", "10"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == "the at-q scan of 1215 pairs exceeds the budget 10"
 
 
 def test_cli_thread_determinism(capsys, tmp_path):

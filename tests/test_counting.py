@@ -99,6 +99,23 @@ def test_free_variable_scaling():
     assert count_zeros([P], F3, 4).raw == 9 * count_zeros([P], F3, 2).raw
 
 
+def test_polynomial_vanishing_mod_p_constrains_nothing(monkeypatch):
+    # every coefficient of 5 a1 a2 + 5 is 0 mod 5: it is dropped before
+    # compiling, like a zero constant, by the AND count and count_reduced
+    compiled = []
+    evaluators = counting._evaluators
+
+    def record(polys, F, var_index):
+        compiled.extend(polys)
+        return evaluators(polys, F, var_index)
+
+    monkeypatch.setattr(counting, "_evaluators", record)
+    F5 = make_field(5)
+    assert count_zeros([5 * a(1) * a(2) + 5, a(3)], F5, 3).raw == 25
+    assert count_reduced(5 * a(1) * a(2) + 5 * a(3), F5, 3).raw == 125
+    assert compiled == [a(3)]
+
+
 def test_budget_guard():
     F5 = make_field(5)
     with pytest.raises(BudgetExceeded):

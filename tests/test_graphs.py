@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c2lab.corpus import named_graphs
 from c2lab.errors import (
     BadParameter,
     BudgetExceeded,
@@ -23,10 +24,12 @@ from c2lab.graphs import (
     girth_at_most,
     is_connected,
     is_isomorphic,
+    shortest_cycle,
     spanning_tree_count,
     spanning_trees,
     subquotient,
 )
+from c2lab.identities import IDENTITY_NAMES, default_identity_indices
 
 
 def reduced_laplacian_tree_count(G):
@@ -163,6 +166,167 @@ def test_girth():
     assert girth_at_most(family("complete", 4), 3)
     assert girth_at_most(Graph(((1, 1),), 1), 1)
     assert not girth_at_most(family("path", 3), 10)
+
+
+# Reference copies of the girth test, the shortest-cycle search and the
+# identity index choices as they stood before the cycle search moved into
+# graphs.shortest_cycle; the shared search must reproduce them exactly.
+
+
+def _reference_girth_at_most(G, k):
+    if k < 1:
+        return False
+    if any(u == v for u, v in G.edges):
+        return True
+    if k >= 2:
+        seen = set()
+        for e in G.edges:
+            if e in seen:
+                return True
+            seen.add(e)
+    if k < 3:
+        return False
+    adj = {v: [] for v in range(1, G.vertex_count + 1)}
+    for i, (u, v) in enumerate(G.edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    for i, (s, t) in enumerate(G.edges):
+        dist = {s: 0}
+        frontier = [s]
+        while frontier and t not in dist:
+            nxt = []
+            for x in frontier:
+                if dist[x] + 1 > k - 1:
+                    continue
+                for y, j in adj[x]:
+                    if j != i and y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if t in dist and dist[t] + 1 <= k:
+            return True
+    return False
+
+
+def _reference_short_cycle(G):
+    for lab in sorted(G.labels):
+        u, v = G.endpoints(lab)
+        if u == v:
+            return (lab,)
+    pairs = {}
+    for lab in sorted(G.labels):
+        pairs.setdefault(G.endpoints(lab), []).append(lab)
+    for labs in pairs.values():
+        if len(labs) >= 2:
+            return tuple(labs[:2])
+    best = None
+    adj = {}
+    for lab in sorted(G.labels):
+        u, v = G.endpoints(lab)
+        adj.setdefault(u, []).append((v, lab))
+        adj.setdefault(v, []).append((u, lab))
+    for lab in sorted(G.labels):
+        s, t = G.endpoints(lab)
+        prev = {s: (None, None)}
+        frontier = [s]
+        while frontier and t not in prev:
+            nxt = []
+            for x in frontier:
+                for y, l2 in adj[x]:
+                    if l2 != lab and y not in prev:
+                        prev[y] = (x, l2)
+                        nxt.append(y)
+            frontier = nxt
+        if t in prev:
+            path = []
+            cur = t
+            while prev[cur][0] is not None:
+                path.append(prev[cur][1])
+                cur = prev[cur][0]
+            cyc = tuple(sorted([lab] + path))
+            if best is None or len(cyc) < len(best):
+                best = cyc
+    return best
+
+
+def _reference_identity_indices(G, name):
+    labels = sorted(G.labels)
+    if name == "c10":
+        for k in labels:
+            yield {"k": k}
+    elif name == "e100":
+        for k in labels:
+            u, v = G.endpoints(k)
+            if u == v:
+                yield {"k": k}
+    elif name == "e101":
+        seen = set()
+        for a, b in itertools.combinations(labels, 2):
+            ea, eb = G.endpoints(a), G.endpoints(b)
+            if ea == eb and ea[0] != ea[1] and ea not in seen:
+                seen.add(ea)
+                yield {"pair": (a, b)}
+    elif name in ("c14", "c15", "cor7"):
+        key = ("i", "j") if name != "cor7" else ("i", "k")
+        for i, j in itertools.combinations(labels, 2):
+            yield {key[0]: i, key[1]: j}
+    elif name in ("c18", "c20"):
+        for a, b, x in list(itertools.permutations(labels, 3))[:6]:
+            if name == "c18":
+                yield {"I": (), "J": (), "S": (), "K": (), "a": a, "b": b, "x": x}
+            else:
+                rest = [l for l in labels if l not in (a, b, x)]
+                if rest:
+                    yield {"I": (), "J": (rest[0],), "S": (), "K": (), "a": a, "b": b, "x": x}
+    elif name == "c100":
+        deg = {}
+        for lab in labels:
+            u, v = G.endpoints(lab)
+            if u != v:
+                deg.setdefault(u, []).append(lab)
+                deg.setdefault(v, []).append(lab)
+        if deg:
+            v = max(deg, key=lambda w: (len(deg[w]), -w))
+            if len(deg[v]) >= 2:
+                yield {"edges": tuple(sorted(deg[v]))}
+    elif name == "c101":
+        cyc = _reference_short_cycle(G)
+        if cyc:
+            yield {"edges": cyc}
+
+
+def _cycle_graphs(catalog6):
+    extra = [
+        family(name, n)
+        for name, ns in (("wheel", range(3, 8)), ("complete", range(4, 7)), ("cycle", range(3, 8)))
+        for n in ns
+    ]
+    return catalog6 + list(named_graphs().values()) + extra
+
+
+def test_shortest_cycle_matches_reference(catalog6):
+    for G in _cycle_graphs(catalog6):
+        ref = _reference_short_cycle(G)
+        assert shortest_cycle(G) == ref, G
+        for k in range(G.edge_count + 2):
+            assert girth_at_most(G, k) == _reference_girth_at_most(G, k), (G, k)
+            assert shortest_cycle(G, k) == (ref if ref and len(ref) <= k else None), (G, k)
+
+
+def test_identity_indices_match_reference(catalog6):
+    for G in _cycle_graphs(catalog6):
+        for name in IDENTITY_NAMES:
+            got = list(default_identity_indices(G, name))
+            assert got == list(_reference_identity_indices(G, name)), (G, name)
+
+
+def test_shortest_cycle_examples():
+    assert shortest_cycle(Graph(((1, 2), (2, 2), (1, 1)), 2)) == (2,)
+    assert shortest_cycle(Graph(((1, 2), (2, 3), (2, 3), (1, 2)), 3)) == (1, 4)
+    assert shortest_cycle(family("cycle", 5), 4) is None
+    assert shortest_cycle(family("cycle", 5)) == (1, 2, 3, 4, 5)
+    assert shortest_cycle(family("path", 3)) is None
+    assert shortest_cycle(family("wheel", 4)) == (1, 5, 6)
 
 
 def test_family_members():

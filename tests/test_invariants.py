@@ -11,6 +11,7 @@ from c2lab.fields import make_field
 from c2lab.graphs import (
     Graph,
     canonical_form,
+    census,
     delete,
     family,
     is_connected,
@@ -142,6 +143,28 @@ def test_admissible_structural_nonplanar_recorded():
         assert rep.examined + rep.skipped_degenerate == pairs
     else:
         assert rep.failure is not None
+
+
+def test_at_q_and_s_t_budgets_bound_pair_counts():
+    # wheel:4 has 1,215 at-q pairs and 420 S_t pairs at t = 2; both scans
+    # refuse one pair less before their first pair, like the structural scan
+    W4, F2 = family("wheel", 4), make_field(2)
+    with pytest.raises(BudgetExceeded, match="the at-q scan of 1215 pairs"):
+        admissible_at_q(W4, F2, budget=1214)
+    assert admissible_at_q(W4, F2, budget=1215).admissible
+    with pytest.raises(BudgetExceeded, match="the S_t sums of 420 pairs"):
+        s_t_sums(W4, 2, F2, budget=419)
+    s_psi, s_phi = s_t_sums(W4, 2, F2, budget=420)
+    assert s_psi == s_phi
+
+
+def test_census_and_structural_budget_messages():
+    with pytest.raises(BudgetExceeded) as e:
+        census(family("wheel", 6), 2, 0, budget=10)
+    assert str(e.value) == "the census of 13860 pairs exceeds the budget 10"
+    with pytest.raises(BudgetExceeded) as e:
+        admissible_structural(nonplanar_log_divergent(), budget=10)
+    assert str(e.value) == "the structural scan of 25048 pairs exceeds the budget 10"
 
 
 def test_admissible_at_q_planar_graphs():
