@@ -44,27 +44,27 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 def _graph_from_args(args) -> tuple[str, Graph]:
     if getattr(args, "graph_file", None) and getattr(args, "family", None):
-        raise C2LabError("give exactly one of --graph-file and --family")
+        raise BadParameter("give exactly one of --graph-file and --family")
     if getattr(args, "graph_file", None):
         return os.path.basename(args.graph_file), io.load_graph(args.graph_file)
     if getattr(args, "family", None):
         spec = args.family
         if ":" not in spec:
-            raise C2LabError("family spec must look like name:n, e.g. wheel:3")
+            raise BadParameter("family spec must look like name:n, e.g. wheel:3")
         name, _, param = spec.partition(":")
         return spec, family(name, io.parse_int(param, "family parameter"))
-    raise C2LabError("a graph source is required (--graph-file or --family)")
+    raise BadParameter("a graph source is required (--graph-file or --family)")
 
 
 def _q_list(args) -> list[int]:
     if not getattr(args, "q", None):
-        raise C2LabError("--q is required for this command")
+        raise BadParameter("--q is required for this command")
     try:
         qs = [int(x) for x in str(args.q).split(",") if x.strip()]
     except ValueError as e:
-        raise C2LabError(f"bad --q list {args.q!r}") from e
+        raise BadParameter(f"bad --q list {args.q!r}") from e
     if not qs:
-        raise C2LabError("--q list is empty")
+        raise BadParameter("--q list is empty")
     return qs
 
 
@@ -350,6 +350,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise BadParameter(f"--threads must be at least 1, not {args.threads}")
         return args.fn(args)
     except BudgetExceeded as e:
         _emit({"command": args.command, "error": {"code": e.code, "message": str(e)}}, None)

@@ -42,7 +42,7 @@ from .graphs import (
     scan_sizes,
     spanning_tree_count,
 )
-from .multipoly import phi, phi_dodgson_pair, phi_two_index, psi, psi_two_index
+from .multipoly import phi, phi_dodgson_pair, psi
 from .planar import is_planar
 from .quadrics import quadric_congruence_rhs, quadric_union_count
 
@@ -100,24 +100,22 @@ def c2_dual_triangle(G: Graph, triangle, F: FqField, *, budget=None, threads: in
     return rep.raw % F.q
 
 
-def _pos_count(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> CountReport:
-    """[q_1...q_N], checked divisible by q^2, once its preconditions hold."""
+def _pos_quotients(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> tuple[int, int]:
+    """[q_1...q_N]_q / q^2 mod q and mod q^3, once q^2 divides it and the preconditions hold."""
     _require(G.n >= 1, "position space needs at least one free vertex")
     _require(G.edge_count <= 2 * G.n and G.n >= 2, "position space needs N_G <= 2 n_G, n_G >= 2")
     rep = quadric_union_count(G, F, budget=budget, threads=threads)
-    _quotient(rep, "q_1...q_N")
-    return rep
+    return _quotient(rep, "q_1...q_N"), (rep.raw // F.q**2) % F.q**3
 
 
 def c2_pos(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
     """c2^pos(G)_q = [q_1...q_N]_q / q^2 mod q."""
-    return _pos_count(G, F, budget=budget, threads=threads).quotient_c2
+    return _pos_quotients(G, F, budget=budget, threads=threads)[0]
 
 
 def c2_pos_full_quotient(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
     """The quotient [q_1...q_N]_q / q^2 reduced mod q^3 (the paper's other reading)."""
-    rep = _pos_count(G, F, budget=budget, threads=threads)
-    return (rep.raw // F.q**2) % F.q**3
+    return _pos_quotients(G, F, budget=budget, threads=threads)[1]
 
 
 # -- duality admissibility ----------------------------------------------------
@@ -208,6 +206,18 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     )
 
 
+def _subquotients(pairs):
+    """(I, J, G\\I//J) for each pair of ``graphs.scan_pairs``, with None in
+    place of the subquotient when the pair is degenerate."""
+    for I, GI, connected, Js in pairs:
+        for J in Js:
+            try:
+                gamma = contract(GI, J) if connected else None
+            except SelfLoopContraction:
+                gamma = None
+            yield I, J, gamma
+
+
 def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> AdmissibilityReport:
     """Check the defining congruences [phi^J_I] = 0 mod q^3 at one q.
 
@@ -229,60 +239,60 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> A
     _, pairs = scan_pairs(
         G, scan_sizes(G.edge_count, G.n - 3), budget=budget, what="the at-q scan"
     )
-    for I, GI, connected, Js in pairs:
-        for J in Js:
-            if not connected:
-                skipped += 1
-                continue
-            try:
-                gamma = contract(GI, J)
-            except SelfLoopContraction:
-                skipped += 1
-                continue
-            examined += 1
-            key = canonical_form(gamma)
-            raw = class_counts.get(key)
-            if raw is None:
-                raw = count_zeros(
-                    [phi(gamma)], F, gamma.edge_count, budget=budget, threads=threads
-                ).raw
-                class_counts[key] = raw
-            if raw % q**3 != 0:
-                return AdmissibilityReport(
-                    False,
-                    "at-q",
-                    q=q,
-                    examined=examined,
-                    skipped_degenerate=skipped,
-                    failure=(frozenset(I), frozenset(J)),
-                    failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
-                )
+    for I, J, gamma in _subquotients(pairs):
+        if gamma is None:
+            skipped += 1
+            continue
+        examined += 1
+        key = canonical_form(gamma)
+        raw = class_counts.get(key)
+        if raw is None:
+            raw = count_zeros([phi(gamma)], F, gamma.edge_count, budget=budget, threads=threads).raw
+            class_counts[key] = raw
+        if raw % q**3 != 0:
+            return AdmissibilityReport(
+                False,
+                "at-q",
+                q=q,
+                examined=examined,
+                skipped_degenerate=skipped,
+                failure=(frozenset(I), frozenset(J)),
+                failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
+            )
     return AdmissibilityReport(
         True, "at-q", q=q, examined=examined, skipped_degenerate=skipped
     )
 
 
 def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None, threads: int = 1) -> tuple[int, int]:
-    """The torus sums S_t for Psi and for phi over all |I| = |J| = t.
-
-    Cremona invariance of the proof's S_t elements means the two sums must
-    be equal.  Raises BudgetExceeded before summing when there are more
-    pairs than ``budget``, which also bounds each count.
+    """The torus sums S_t of Psi^I_J = Psi(G\\I//J) and of phi^I_J =
+    phi(G\\J//I) over all |I| = |J| = t, which Cremona invariance of the
+    proof's S_t elements makes equal.  The pair set is symmetric under
+    (I, J) <-> (J, I), so both sums run over the subquotients G\\I//J: the
+    sums agree, the terms of one pair need not.  A degenerate pair
+    (``graphs.scan_pairs``) has both polynomials zero and adds (q-1)^(N-2t)
+    to each sum; the other torus counts are made once per isomorphism
+    class.  Raises BudgetExceeded before summing when there are more pairs
+    than ``budget``, which also bounds each count.
     """
     _require(1 <= t <= G.n, "S_t needs 1 <= t <= n_G")
     _, pairs = scan_pairs(G, [(t, t)], budget=budget, what="the S_t sums")
     amb = G.edge_count - 2 * t
-    s_psi = 0
-    s_phi = 0
-    for I, _, _, Js in pairs:
-        for J in Js:
-            s_psi += count_zeros_torus(
-                [psi_two_index(G, I, J)], F, amb, budget=budget, threads=threads
-            ).raw
-            s_phi += count_zeros_torus(
-                [phi_two_index(G, I, J)], F, amb, budget=budget, threads=threads
-            ).raw
-    return s_psi, s_phi
+    degenerate = 0
+    classes: dict[tuple, list] = {}  # canonical form -> [a member, its pair count]
+    for _, _, gamma in _subquotients(pairs):
+        if gamma is None:
+            degenerate += 1
+        else:
+            classes.setdefault(canonical_form(gamma), [gamma, 0])[1] += 1
+
+    def total(poly) -> int:
+        return degenerate * (F.q - 1) ** amb + sum(
+            k * count_zeros_torus([poly(gamma)], F, amb, budget=budget, threads=threads).raw
+            for gamma, k in classes.values()
+        )
+
+    return total(psi), total(phi)
 
 
 # -- theorem verification ------------------------------------------------------
@@ -541,9 +551,8 @@ def c2_verdict(
     if "dual" in spaces:
         v.c2_dual, v.c2_dual_reason = _leg(c2_dual, G, F, **kw)
     if "pos" in spaces:
-        rep, v.c2_pos_reason = _leg(_pos_count, G, F, **kw)
-        if rep is not None:
-            v.c2_pos = rep.quotient_c2
-            v.c2_pos_quotient_mod_q3 = (rep.raw // F.q**2) % F.q**3
+        quotients, v.c2_pos_reason = _leg(_pos_quotients, G, F, **kw)
+        if quotients is not None:
+            v.c2_pos, v.c2_pos_quotient_mod_q3 = quotients
     return v
 

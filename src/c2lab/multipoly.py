@@ -72,9 +72,6 @@ class MLPoly:
     def degree(self) -> int:
         return max((len(m) for m in self._terms), default=0)
 
-    def constant_term(self) -> int:
-        return self._terms.get((), 0)
-
     def monomial_count(self) -> int:
         return len(self._terms)
 
@@ -349,12 +346,6 @@ def det_sparse(rows, n_cols) -> MLPoly:
     return rec(0, full)
 
 
-@lru_cache(maxsize=200000)
-def _dodgson_cached(G: Graph, I: tuple, J: tuple, K: tuple) -> MLPoly:
-    rows, n_cols = _m_matrix_rows(G, set(I), set(J), set(K))
-    return det_sparse(rows, n_cols)
-
-
 def dodgson(G: Graph, idx: DodgsonIndex) -> MLPoly:
     """Psi^{I,J}_{G,K}: det of M(G) minus rows I, columns J, with a_K = 0."""
     fullset = G.label_set
@@ -363,9 +354,7 @@ def dodgson(G: Graph, idx: DodgsonIndex) -> MLPoly:
             raise BadIndices("Dodgson index uses labels outside the graph")
     if idx.zeroed & (idx.rows | idx.cols):
         raise BadIndices("zeroed variables must avoid the removed rows/columns")
-    return _dodgson_cached(
-        G, tuple(sorted(idx.rows)), tuple(sorted(idx.cols)), tuple(sorted(idx.zeroed))
-    )
+    return det_sparse(*_m_matrix_rows(G, idx.rows, idx.cols, idx.zeroed))
 
 
 def psi_two_index(G: Graph, I, J) -> MLPoly:

@@ -193,6 +193,10 @@ def test_cli_usage_errors(capsys, tmp_path):
         ("family", "--family", "wheel:x"),
         ("family", "--family", "wheel:"),
         ("diag", "--family", "complete:4", "--tree", "1,x"),
+        ("family", "--family", "wheel3"),
+        ("c2", "--family", "wheel:3", "--q", "2,x"),
+        ("count", "--family", "wheel:3", "--q", "2", "--threads", "0"),
+        ("count", "--family", "wheel:3", "--q", "2", "--threads", "-3"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv

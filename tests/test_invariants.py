@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from c2lab import invariants
+from c2lab import invariants, multipoly
 from c2lab.corpus import nonplanar_log_divergent
-from c2lab.counting import CountReport, count_zeros
+from c2lab.counting import CountReport, count_zeros, count_zeros_torus
 from c2lab.errors import BudgetExceeded, NotATriangle, PreconditionUnmet
 from c2lab.fields import make_field
 from c2lab.graphs import (
@@ -32,7 +32,7 @@ from c2lab.invariants import (
     s_t_sums,
     verify,
 )
-from c2lab.multipoly import phi, phi_two_index
+from c2lab.multipoly import phi, phi_two_index, psi_two_index
 
 
 def test_c2_dual_banana3():
@@ -312,6 +312,60 @@ def test_s_t_sums_equal():
     tri = family("cycle", 3)
     s_psi, s_phi = s_t_sums(tri, 1, make_field(3))
     assert s_psi == s_phi
+
+
+def _s_t_pairs(G, t):
+    labels = sorted(G.labels)
+    for I in itertools.combinations(labels, t):
+        for J in itertools.combinations([l for l in labels if l not in I], t):
+            yield I, J
+
+
+def _dodgson_s_t(G, t, F):
+    """S_t by the Dodgson route with two counts per pair: the reference
+    that the sums over subquotient classes must reproduce."""
+    amb = G.edge_count - 2 * t
+    s_psi = s_phi = 0
+    for I, J in _s_t_pairs(G, t):
+        s_psi += count_zeros_torus([psi_two_index(G, I, J)], F, amb).raw
+        s_phi += count_zeros_torus([phi_two_index(G, I, J)], F, amb).raw
+    return s_psi, s_phi
+
+
+@pytest.mark.parametrize(
+    "name, t, q",
+    [("wheel:4", t, q) for t in (1, 2) for q in (2, 3)]
+    + [("complete:4", t, 2) for t in (1, 2, 3)]
+    + [("Gn:4", 2, 3), ("cycle:3", 1, 3)],
+)
+def test_s_t_sums_match_dodgson_route(name, t, q):
+    fam, n = name.split(":")
+    G, F = family(fam, int(n)), make_field(q)
+    assert s_t_sums(G, t, F) == _dodgson_s_t(G, t, F)
+
+
+def test_scans_count_subquotient_classes_without_dodgson_minors(monkeypatch):
+    G, F = family("wheel", 4), make_field(2)
+    classes = {
+        canonical_form(subquotient(G, I, J))
+        for I, J in _s_t_pairs(G, 2)
+        if is_connected(delete(G, I)) and is_forest_in(delete(G, I), J)
+    }
+    calls = []
+
+    def count(polys, F, n_vars, **kw):
+        calls.append(n_vars)
+        return count_zeros_torus(polys, F, n_vars, **kw)
+
+    def no_minors(*args):
+        raise AssertionError("a Dodgson minor was built")
+
+    monkeypatch.setattr(invariants, "count_zeros_torus", count)
+    monkeypatch.setattr(multipoly, "_m_matrix_rows", no_minors)
+    s_psi, s_phi = s_t_sums(G, 2, F)
+    assert s_psi == s_phi
+    assert len(calls) == 2 * len(classes) == 12  # of 420 pairs
+    assert admissible_at_q(G, F).admissible
 
 
 def test_verify_registry():
