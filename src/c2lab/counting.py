@@ -9,6 +9,13 @@ evaluators, or a joint histogram of zero coordinates and matrix ranks.  Evaluato
 with numpy through the field's array arithmetic (``FqField.vmul`` and
 friends).  Parallel runs split the outer assignments into ordered chunks,
 so totals are independent of the schedule.
+
+Most counts are of cones.  When the tallied per-point function is
+invariant under x -> lambda x (the zeros of homogeneous polynomials, the
+zero count and rank of a matrix whose entries share one degree), the walk
+takes one outer assignment per line through the origin, with weight
+q - 1, plus the zero assignment: 1/(q - 1) of the outer assignments.
+Non-homogeneous systems take the plain walk over every outer assignment.
 """
 
 from __future__ import annotations
@@ -114,13 +121,21 @@ def _eval_block(monos, F: FqField, outer, cols, n_outer):
     return F.reduce(acc)
 
 
-def _walk(tally, F: FqField, m: int, *, torus: bool = False, threads: int = 1):
+def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False, threads: int = 1):
     """Sum of ``tally(outer, cols, n_outer)`` over the blocks of F_q^m (of
     the torus, with ``torus``).
 
     The last b coordinates form an inner block of at most _BLOCK_TARGET
     points, given as columns of codes; the others are enumerated one outer
     assignment at a time.  A tally is an int or a numpy array.
+
+    With ``cone``, the tally must sum a per-point function f with
+    f(lambda x) = f(x) for every lambda != 0.  Scaling maps each inner block
+    onto itself (its values are all of F_q, or all of F_q^*), so the tally
+    at lambda * outer equals the tally at outer, and the walk visits one
+    outer assignment per line through the origin: the zero assignment with
+    weight 1 (affine walks only), then each assignment whose first nonzero
+    coordinate is 1, with weight q - 1.
     """
     values = np.arange(1 if torus else 0, F.q)
     L = len(values)
@@ -129,17 +144,30 @@ def _walk(tally, F: FqField, m: int, *, torus: bool = False, threads: int = 1):
         b += 1
     n_outer = m - b
     cols = _inner_columns(F.codes(values), b)
-    outer_space = itertools.product([int(v) for v in values], repeat=n_outer)
+    ints = [int(v) for v in values]
+    if cone and n_outer:
+        # (outer, weight) pairs; on the torus no coordinate is 0, so the
+        # leading 1 is the first coordinate
+        weighted = itertools.chain(
+            [] if torus else [((0,) * n_outer, 1)],
+            (
+                ((0,) * k + (1,) + rest, F.q - 1)
+                for k in range(1 if torus else n_outer)
+                for rest in itertools.product(ints, repeat=n_outer - k - 1)
+            ),
+        )
+    else:
+        weighted = zip(itertools.product(ints, repeat=n_outer), itertools.repeat(1))
 
     def run(chunk):
         total = 0
-        for outer in chunk:
-            total += tally(outer, cols, n_outer)
+        for outer, weight in chunk:
+            total += weight * tally(outer, cols, n_outer)
         return total
 
     if threads <= 1 or n_outer == 0:  # a single block has nothing to split
-        return run(outer_space)
-    outer_list = list(outer_space)
+        return run(weighted)
+    outer_list = list(weighted)
     size = max(1, (len(outer_list) + threads - 1) // threads)
     chunks = [outer_list[i : i + size] for i in range(0, len(outer_list), size)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -147,11 +175,19 @@ def _walk(tally, F: FqField, m: int, *, torus: bool = False, threads: int = 1):
 
 
 def _walk_zeros(
-    evaluators, F: FqField, m: int, *, any_zero: bool = False, torus: bool = False, threads: int = 1
+    evaluators,
+    F: FqField,
+    m: int,
+    *,
+    any_zero: bool = False,
+    torus: bool = False,
+    cone: bool = False,
+    threads: int = 1,
 ) -> int:
     """Points of F_q^m (or the torus) where every evaluator vanishes (or,
     with ``any_zero``, at least one does).  Each evaluator maps (outer,
-    cols, n_outer) to its reduced values over the block."""
+    cols, n_outer) to its reduced values over the block; ``cone`` is for
+    evaluators of homogeneous polynomials (see ``_walk``)."""
     if not evaluators:
         return 0 if any_zero else (F.q - 1 if torus else F.q) ** m
     # The last block's values stay referenced until the next block has its
@@ -172,14 +208,24 @@ def _walk_zeros(
         held[0] = vals
         return int(mask.sum())
 
-    return _walk(tally, F, m, torus=torus, threads=threads)
+    return _walk(tally, F, m, torus=torus, cone=cone, threads=threads)
+
+
+def _degrees(P: MLPoly, p: int) -> set:
+    """Degrees of the terms of P that survive mod p."""
+    return {len(mono) for mono, c in P.terms() if c % p}
 
 
 def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> list[list[int]]:
     """Entry [z][r] counts the points of F_q^labels with z zero coordinates
     where M has rank r; every variable of M must be among ``labels``.  The
-    entries are Python ints, so weighted sums of them cannot wrap."""
+    entries are Python ints, so weighted sums of them cannot wrap.
+
+    When every nonzero entry of M is homogeneous of one common degree,
+    M(lambda t) = lambda^deg M(t) keeps both the rank and the zero count,
+    so the walk takes one point per line (see ``_walk``)."""
     N, d = len(labels), M.dim
+    cone = len(set().union(*(_degrees(e, F.p) for row in M.entries for e in row))) <= 1
 
     def tally(outer, cols, n_outer) -> np.ndarray:
         point = {
@@ -188,7 +234,7 @@ def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> li
         zeros = sum(x == 0 for x in outer) + sum(c == 0 for c in cols)
         return np.bincount(zeros * (d + 1) + block_rank(M, point, F), minlength=(N + 1) * (d + 1))
 
-    return _walk(tally, F, N, threads=threads).reshape(N + 1, d + 1).tolist()
+    return _walk(tally, F, N, cone=cone, threads=threads).reshape(N + 1, d + 1).tolist()
 
 
 def _nonconstant(polys, F: FqField, n_vars: int):
@@ -222,14 +268,17 @@ def _evaluators(polys, F: FqField, var_index: dict) -> list:
 
 
 def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: int = 1) -> int:
-    """Exact number of common zeros in affine space (or the torus)."""
+    """Exact number of common zeros in affine space (or the torus).  When
+    every polynomial is homogeneous mod p its zeros form a cone, walked
+    one line at a time."""
     split = _nonconstant(polys, F, n_vars)
     if split is None:
         return 0
     polys, used = split
     q, m = F.q, len(used)
+    cone = all(len(_degrees(P, F.p)) == 1 for P in polys)
     evaluators = _evaluators(polys, F, {v: i for i, v in enumerate(used)})
-    raw = _walk_zeros(evaluators, F, m, torus=torus, threads=threads)
+    raw = _walk_zeros(evaluators, F, m, torus=torus, cone=cone, threads=threads)
     return raw * (q - 1 if torus else q) ** (n_vars - m)
 
 

@@ -106,7 +106,9 @@ def quadric_union_count_walk(
     G: Graph, F: FqField, *, budget: int | None = None, threads: int = 1
 ) -> CountReport:
     """Test oracle: the union walked on the 4n-lattice, coordinate i at
-    lattice index i - 1 (a self-loop's zero quadric covers every point)."""
+    lattice index i - 1 (a self-loop's zero quadric covers every point).
+    The quadrics are homogeneous, so their union is a cone, walked one line
+    at a time."""
     n = G.n
     if n < 1:
         raise PreconditionUnmet("position space needs at least one free vertex")
@@ -114,7 +116,7 @@ def quadric_union_count_walk(
     _check_budget(F.q, m, budget)
     polys = [_quadric_poly(s, t) for s, t in _edge_quadrics(G)]
     evaluators = _evaluators(polys, F, {i: i - 1 for i in range(1, m + 1)})
-    raw = _walk_zeros(evaluators, F, m, any_zero=True, threads=threads)
+    raw = _walk_zeros(evaluators, F, m, any_zero=True, cone=True, threads=threads)
     return CountReport.from_raw(raw, F.q, m)
 
 

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from c2lab import counting
 from c2lab.counting import (
@@ -15,11 +17,13 @@ from c2lab.counting import (
     rank_histogram,
     sing_count,
 )
+from c2lab.corpus import named_graphs
 from c2lab.errors import BudgetExceeded, PreconditionUnmet
 from c2lab.fields import make_field
 from c2lab.graphs import Graph, family, is_connected
-from c2lab.matform import p_matrix
-from c2lab.multipoly import MLPoly, phi, phi_two_index, psi, psi_two_index
+from c2lab.invariants import _find_triangle
+from c2lab.matform import PolyMatrix, _p_matrix_for_order, p_matrix
+from c2lab.multipoly import MLPoly, phi, phi_dodgson_pair, phi_two_index, psi, psi_two_index
 
 a = MLPoly.variable
 
@@ -282,3 +286,162 @@ def test_count_reduced_budget_does_not_depend_on_earlier_calls():
     count_reduced(psi(W4), F3, 8)
     with pytest.raises(BudgetExceeded):
         count_reduced(psi(W4), F3, 8, budget=10)
+
+
+# -- the cone walk -------------------------------------------------------------
+
+
+def spy_walks(mp):
+    """Record (F, m, keyword arguments) of every later ``_walk`` call."""
+    walk = counting._walk
+    calls = []
+
+    def spy(tally, F, m, **kwargs):
+        calls.append((F, m, kwargs))
+        return walk(tally, F, m, **kwargs)
+
+    mp.setattr(counting, "_walk", spy)
+    return calls
+
+
+def cone_and_plain(count):
+    """count() on its own route, which must be the cone walk, and again with
+    every walk forced onto the plain enumeration (cone=False).  A walk of a
+    single block has no outer assignments, so both routes are the same
+    enumeration there, and count() is rerun only when some walk has more."""
+    walk = counting._walk
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_walks(mp)
+        cone = count()
+    assert all(kw.get("cone") for _, _, kw in calls)
+    if all((F.q - kw.get("torus", False)) ** m <= counting._BLOCK_TARGET for F, m, kw in calls):
+        return cone, cone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_walk", lambda *args, **kw: walk(*args, **{**kw, "cone": False}))
+        plain = count()
+    return cone, plain
+
+
+def routes(calls):
+    return [kw.get("cone", False) for _, _, kw in calls]
+
+
+def homogeneous_systems(G):
+    """(name, polynomials, ambient) of the homogeneous counts c2lab makes of G."""
+    N = G.edge_count
+    f = phi(G)
+    out = [
+        ("psi", [psi(G)], N),
+        ("phi", [f], N),
+        ("jacobian", [f] + [f.coeff_and_rest(k)[0] for k in sorted(G.labels)], N),
+    ]
+    tri = _find_triangle(G)
+    if G.h >= 3 and tri is not None:
+        t1, t2, t3 = tri
+        pair = [phi_dodgson_pair(G, {t1}, {t2}, {t3}), phi_dodgson_pair(G, {t1, t3}, {t2, t3})]
+        out.append(("p4", pair, N - 3))
+    return out
+
+
+def union_matrix(G):
+    """L(t) of the quadric union: one weight per distinct endpoint pair."""
+    H = Graph(tuple(dict.fromkeys(e for e in G.edges if e[0] != e[1])), G.vertex_count)
+    return _p_matrix_for_order(H, range(1, H.vertex_count)), H.labels
+
+
+CONE_GRID = [
+    (name, q)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for name, G in named_graphs().items()
+    if q**G.edge_count <= 2 * 10**6
+]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_cone_walk_matches_plain_walk_across_corpus(q, corpus):
+    F = make_field(q)
+    for name, G in corpus.items():
+        if (name, q) not in CONE_GRID:
+            continue
+        for what, polys, n in homogeneous_systems(G):
+            for count in (count_zeros, count_zeros_torus):
+                cone, plain = cone_and_plain(lambda: count(polys, F, n, budget=q**n).raw)
+                assert cone == plain, (name, what, count.__name__)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_cone_rank_histograms_match_plain_walk_across_corpus(q, corpus):
+    F = make_field(q)
+    for name, G in corpus.items():
+        if (name, q) not in CONE_GRID or G.n < 1:
+            continue
+        matrices = [(p_matrix(G), sorted(G.labels))]
+        if union_matrix(G)[0] != matrices[0][0]:  # parallel edges or self-loops
+            matrices.append(union_matrix(G))
+        for M, labels in matrices:
+            cone, plain = cone_and_plain(lambda: rank_histogram(M, F, labels))
+            assert cone == plain, name
+
+
+def test_cone_walk_reaches_several_outer_coordinates():
+    # wheel:4 at q = 7: blocks of 7^5, so 7^3 outer assignments, 57 of them lines
+    W4, F7 = family("wheel", 4), make_field(7)
+    for count in (count_zeros, count_zeros_torus):
+        cone, plain = cone_and_plain(lambda: count([psi(W4)], F7, 8).raw)
+        assert cone == plain
+
+
+@st.composite
+def homogeneous_systems_st(draw):
+    """(q, polynomials, n): up to two homogeneous systems in n variables,
+    with q^n <= 2 * 10^6 and n <= 8, so q >= 5 can reach several blocks."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    n = draw(st.integers(1, max(k for k in range(1, 9) if q**k <= 2 * 10**6)))
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        deg = draw(st.integers(1, n))
+        mono = st.sets(st.integers(1, n), min_size=deg, max_size=deg)
+        monos = draw(st.lists(mono, min_size=1, max_size=5))
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(monos), max_size=len(monos)))
+        polys.append(MLPoly({tuple(sorted(m)): c for m, c in zip(monos, coeffs)}))
+    return q, polys, n
+
+
+@given(homogeneous_systems_st(), st.booleans())
+@settings(max_examples=60, deadline=None)
+@seed(20131)
+def test_cone_walk_matches_plain_walk_on_random_homogeneous_systems(system, torus):
+    q, polys, n = system
+    count = count_zeros_torus if torus else count_zeros
+    F = make_field(q)
+    cone, plain = cone_and_plain(lambda: count(polys, F, n).raw)
+    assert cone == plain
+
+
+def test_cone_route_needs_homogeneous_systems(monkeypatch):
+    calls = spy_walks(monkeypatch)
+    count_zeros([a(1) * a(2) + a(3)], make_field(5), 3)
+    assert routes(calls) == [False]
+    # 3 a3 vanishes mod 3, so x1 x2 + 3 x3 is homogeneous over F_3 only
+    count_zeros([a(1) * a(2) + 3 * a(3)], make_field(3), 3)
+    count_zeros([a(1) * a(2) + 3 * a(3)], make_field(5), 3)
+    assert routes(calls) == [False, True, False]
+
+
+def test_cone_route_of_rank_histogram_needs_one_entry_degree(monkeypatch):
+    calls = spy_walks(monkeypatch)
+    F5 = make_field(5)
+    rank_histogram(PolyMatrix(((a(1), MLPoly.constant(1)), (MLPoly.constant(1), a(2)))), F5, [1, 2])
+    rank_histogram(p_matrix(family("complete", 4)), F5, list(range(1, 7)))
+    assert routes(calls) == [False, True]
+
+
+def test_threads_do_not_change_cone_walks():
+    W4, F7 = family("wheel", 4), make_field(7)
+    assert (
+        count_zeros([psi(W4)], F7, 8, threads=1).raw
+        == count_zeros([psi(W4)], F7, 8, threads=2).raw
+    )
+    M, labels = p_matrix(W4), sorted(W4.labels)  # 5^8 weights: 7 outer assignments of 5^6
+    F5 = make_field(5)
+    assert rank_histogram(M, F5, labels, threads=1) == rank_histogram(M, F5, labels, threads=2)
