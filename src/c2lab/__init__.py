@@ -1,5 +1,13 @@
 """c2lab: graph polynomials, finite-field point counts, and c2 invariants."""
 
+import os
+
+# ``--threads`` is c2lab's one parallelism knob.  The counting kernels'
+# matrix products are small, and OpenBLAS's own threads spin on them and
+# would oversubscribe ``--threads``, so BLAS runs on one thread unless the
+# caller says otherwise.  OpenBLAS reads this when numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .graphs import (
     Graph,
     census,

@@ -281,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=1,
-                help="parallel counting lanes; on 2 cores a second one pays on position-space "
-                "unions and prime-power fields, and costs on prime-field parametric counts",
+                help="parallel counting lanes, c2lab's only parallelism (BLAS runs on one "
+                "thread); on 2 cores a second one pays on position-space unions and costs on "
+                "parametric counts",
             )
             p.add_argument(
                 "--budget",

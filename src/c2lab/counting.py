@@ -4,11 +4,34 @@ Counts are exact Python integers; residues are derived from the raw count,
 never computed by wraparound.  One lattice walker, ``_walk``, enumerates
 the points in blocks for every brute-force count, parametric here and
 position-space in ``quadrics`` (quadric systems, and the edge weights of
-the quadric union), and sums a tally per block: the zeros of block
-evaluators, or a joint histogram of zero coordinates and matrix ranks.  Evaluators are vectorized
-with numpy through the field's array arithmetic (``FqField.vmul`` and
-friends).  Parallel runs split the outer assignments into ordered chunks,
-so totals are independent of the schedule.
+the quadric union), and sums a tally per block: the zeros of polynomials,
+or a joint histogram of zero coordinates and matrix ranks.  Parallel runs
+split the outer assignments into ordered chunks, so totals are
+independent of the schedule.
+
+A walk of F_q^m fixes the first m - b coordinates (the outer assignment)
+and takes the last b as an inner block of at most 2^16 points.  Every
+polynomial is evaluated on a block by one bilinear evaluator, ``_Bilinear``,
+the same for every q.  The block's coordinates split into b1 row
+coordinates and b2 = ceil(b / 2) column coordinates, with R and B values,
+and
+
+    P(outer, rows, columns) = sum_{j,k} V_j(rows) W_jk(outer) M_k(columns),
+
+where j and k run over the J distinct row parts and the K distinct column
+parts of P's monomials.  The row monomials V (J x R) and the column
+monomials M (K x B) are built once per walk.  Per block, W (J x K) sums
+each term's coefficient times its outer factors into the cell of its row
+and column part, and the block's values are (V^T W M) mod p, raveled
+row-major, so the last coordinate varies fastest.  Over q = p^s every
+factor is expanded over F_p: an element of V^T or W becomes its s x s
+multiplication matrix and an element of M its s digits
+(``FqField.mul_matrix``, ``FqField.digits``), so one float matrix product
+serves every field, and the digits of the values recombine into codes.
+The products are not reduced in between: every partial sum is an integer
+of at most J K s^2 (p - 1)^3, so they run in float32 while that is below
+2^23, in float64 while it is below 2^52 (one bit under each exact range,
+for the reduction mod p), and raise past that.
 
 Most counts are of cones.  When the tallied per-point function is
 invariant under x -> lambda x (the zeros of homogeneous polynomials, the
@@ -23,7 +46,6 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -34,7 +56,9 @@ from .matform import PolyMatrix, block_rank, p_matrix
 from .multipoly import MLPoly, phi
 
 _BLOCK_TARGET = 1 << 16
-_WINDOW = 40000  # int64 terms summed between reductions mod p
+# Float dtypes, each with the bound below which integers and their
+# reduction mod p (see ``_mod``) are exact: one bit under the exact range.
+_EXACT_DTYPES = ((np.float32, 2**23), (np.float64, 2**52))
 
 
 @dataclass(frozen=True)
@@ -69,65 +93,143 @@ def _check_budget(q: int, n_vars: int, budget: int | None):
     check_budget(q**n_vars, budget, f"enumerating q^n = {q}^{n_vars} points")
 
 
-def _inner_columns(values: np.ndarray, b: int):
-    """Value grids for b nested enumeration variables (last varies fastest)."""
+def _block(F: FqField, m: int, torus: bool):
+    """(values, b): the values of a coordinate (F_q, or F_q^* on the torus)
+    and the number b of last coordinates that form the inner block, the
+    most whose points fit in _BLOCK_TARGET."""
+    values = np.arange(1 if torus else 0, F.q)
+    b = 0
+    while b < m and len(values) ** (b + 1) <= _BLOCK_TARGET:
+        b += 1
+    return values, b
+
+
+def _grid(values: np.ndarray, b: int) -> np.ndarray:
+    """The b x L^b values of b nested coordinates, the last varying fastest."""
     L = len(values)
-    cols = []
-    for j in range(b):
-        reps_inside = L ** (b - 1 - j)
-        tile = np.repeat(values, reps_inside)
-        cols.append(np.tile(tile, L**j))
-    return cols
+    return values[np.indices((L,) * b).reshape(b, L**b)]
 
 
-def _wide(pos, p: int) -> bool:
-    """Whether _WINDOW unreduced products of this monomial (a scalar and
-    len(pos) factors, each below p) could sum past the int64 range."""
-    return _WINDOW * (p - 1) ** (len(pos) + 1) + p >= 2**63
+def _gemm_dtype(bound: int):
+    """The float dtype in which matrix products whose partial sums are
+    integers up to ``bound`` are exact, and so is their reduction mod p."""
+    for dtype, limit in _EXACT_DTYPES:
+        if bound < limit:
+            return dtype
+    raise PreconditionUnmet(f"matrix products with sums up to {bound} would not be exact")
 
 
-def _eval_block(monos, F: FqField, outer, cols, n_outer):
-    """Values of a compiled polynomial over one block, reduced.
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place, for a float array of integers below the bound of
+    its dtype in _EXACT_DTYPES.  floor(x * (1/p)) is then off by at most one
+    from floor(x / p), and x - p * floor(...) lies in [-p, 2p) exactly; far
+    faster than ``np.fmod``, whose cost grows with x / p."""
+    k = x * (1 / p)
+    np.floor(k, out=k)
+    k *= p
+    x -= k
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
 
-    Each monomial's outer factors fold into a scalar; its inner factors are
-    columns.  Between reductions at most _WINDOW terms are summed, and a
-    ``wide`` monomial is reduced after each factor (see ``_wide``).
-    """
-    acc = 0
-    for k, (coeff, pos, wide) in enumerate(monos):
-        if k % _WINDOW == 0:
-            acc = F.reduce(acc)
-        scalar = coeff
-        inner = []
-        for t in pos:
-            if t < n_outer:
-                scalar = F.reduce(F.vmul(scalar, outer[t]))
-            else:
-                inner.append(t - n_outer)
-        if scalar == 0:
-            continue
-        if inner:
-            # term is rebound only once its successor exists: freeing it
-            # first made malloc trim and re-fault the heap (psi(wheel:6) at
-            # q = 3: 180k minor faults against 2k).
-            term = F.vmul(cols[inner[0]], scalar)
-            for t in inner[1:]:
-                term = F.vmul(term, cols[t])
-                if wide:
-                    term = F.reduce(term)
-            acc = F.vadd(acc, term)
-        else:
-            acc = F.vadd(acc, scalar)
-    return F.reduce(acc)
+
+def _compile(polys, F: FqField, var_index: dict) -> list:
+    """Each polynomial as (coefficients, exponents), with variable v at
+    lattice coordinate ``var_index[v]``: the terms that survive mod p, their
+    coefficients mod p, and a terms x len(var_index) exponent matrix.  An
+    exponent e >= 1 becomes 1 + (e - 1) mod (q - 1), as x^q = x on F_q.  A
+    polynomial that vanishes mod p has no terms and evaluates to 0, so it
+    covers every point of a union."""
+    m = len(var_index)
+    out = []
+    for P in polys:
+        terms = [(c % F.p, mono) for mono, c in P.terms() if c % F.p]
+        starts = np.repeat(np.arange(len(terms)) * m, [len(mono) for _, mono in terms])
+        flat = np.array([var_index[v] for _, mono in terms for v in mono], dtype=np.intp)
+        exps = np.bincount(starts + flat, minlength=len(terms) * m).reshape(len(terms), m)
+        exps = np.where(exps > 0, (exps - 1) % (F.q - 1) + 1, 0)
+        out.append((np.array([c for c, _ in terms], dtype=np.intp), exps))
+    return out
+
+
+class _Bilinear:
+    """The values of one compiled polynomial on the blocks of a walk of
+    F_q^m (of the torus, with ``torus``), by the matrix product of the
+    module docstring.  Calling it with an outer assignment gives the codes
+    of the block's points in the walk's order."""
+
+    def __init__(self, compiled, F: FqField, m: int, torus: bool):
+        coeffs, exps = compiled
+        values, b = _block(F, m, torus)
+        q, p, s = F.q, F.p, F.s
+        n_outer, b2 = m - b, (b + 1) // 2
+
+        def parts(lo, hi):
+            """The distinct exponent vectors of coordinates lo..hi-1 among
+            the terms, and the index of each term's.  The vectors are read
+            as base-q keys, below q^(hi - lo) <= q^b."""
+            radix = q ** np.arange(hi - lo)
+            keys = exps[:, lo:hi] @ radix
+            index = np.zeros(q ** (hi - lo), dtype=np.intp)
+            index[keys] = 1
+            distinct = np.flatnonzero(index)
+            index[distinct] = np.arange(len(distinct))
+            return distinct[:, None] // radix % q, index[keys]
+
+        def monomials(part, grid):
+            """Codes of the monomials ``part`` at every point of ``grid``."""
+            vals = np.ones((len(part), grid.shape[1]), dtype=np.intp)
+            for i, row in enumerate(grid):
+                vals = F.mul_table[vals, F.pow_table[row, part[:, i, None]]]
+            return vals
+
+        row_part, row_index = parts(n_outer, m - b2)
+        col_part, col_index = parts(m - b2, m)
+        J, K = len(row_part), len(col_part)
+        V = monomials(row_part, _grid(values, b - b2))  # J x R
+        M = monomials(col_part, _grid(values, b2))  # K x B
+        R, B = len(values) ** (b - b2), len(values) ** b2
+        # V^T W sums J s products of digits; times M, K s products of those
+        # sums with digits: at most J K s^2 (p - 1)^3, unreduced
+        dtype = _gemm_dtype(J * K * s * s * (p - 1) ** 3)
+        # V^T as R x J blocks of multiplication matrices, M as K x B digit columns
+        self.V = F.mul_matrix[V.T].transpose(0, 2, 1, 3).reshape(R * s, J * s).astype(dtype)
+        self.M = F.digits[M].transpose(0, 2, 1).reshape(K * s, B).astype(dtype)
+        self.mul_matrix = F.mul_matrix.astype(dtype)
+        # the cheaper order of the exact, associative product V^T W M
+        self.right_first = J * K * B + R * J * B < R * J * K * s + R * K * B
+        self.F, self.J, self.K, self.R = F, J, K, R
+        self.coeffs, self.outer_exps = coeffs, exps[:, :n_outer]
+        # the bin of digit i of each term in the digits of the J x K matrix W
+        self.bins = ((row_index * K + col_index)[:, None] * s + np.arange(s)).ravel()
+        self.place = p ** np.arange(s)
+
+    def __call__(self, outer) -> np.ndarray:
+        F, J, K, s, p = self.F, self.J, self.K, self.F.s, self.F.p
+        terms = self.coeffs  # times the outer factors of each term
+        for i, x in enumerate(outer):
+            terms = F.mul_table[terms, F.pow_table[x, self.outer_exps[:, i]]]
+        sums = np.bincount(self.bins, weights=F.digits[terms].ravel(), minlength=J * K * s)
+        W = (sums.reshape(J, K, s) % p).astype(np.intp) @ self.place
+        W = self.mul_matrix[W].transpose(0, 2, 1, 3).reshape(J * s, K * s)
+        vals = self.V @ (W @ self.M) if self.right_first else (self.V @ W) @ self.M
+        _mod(vals, p)
+        if s > 1:  # digits to codes, by Horner's rule
+            digits = vals.reshape(self.R, s, vals.shape[1])
+            vals = digits[:, s - 1]
+            for i in range(s - 2, -1, -1):
+                vals = vals * p + digits[:, i]
+        return vals.ravel()
 
 
 def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False, threads: int = 1):
-    """Sum of ``tally(outer, cols, n_outer)`` over the blocks of F_q^m (of
-    the torus, with ``torus``).
+    """Sum of ``tally(outer)`` over the blocks of F_q^m (of the torus, with
+    ``torus``).
 
     The last b coordinates form an inner block of at most _BLOCK_TARGET
-    points, given as columns of codes; the others are enumerated one outer
-    assignment at a time.  A tally is an int or a numpy array.
+    points (see ``_block``); the others are enumerated one outer assignment
+    at a time, and ``tally`` gets each as a tuple of codes.  A tally is an
+    int or a numpy array.
 
     With ``cone``, the tally must sum a per-point function f with
     f(lambda x) = f(x) for every lambda != 0.  Scaling maps each inner block
@@ -137,13 +239,8 @@ def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False,
     weight 1 (affine walks only), then each assignment whose first nonzero
     coordinate is 1, with weight q - 1.
     """
-    values = np.arange(1 if torus else 0, F.q)
-    L = len(values)
-    b = 0
-    while b < m and L ** (b + 1) <= _BLOCK_TARGET:
-        b += 1
+    values, b = _block(F, m, torus)
     n_outer = m - b
-    cols = _inner_columns(F.codes(values), b)
     ints = [int(v) for v in values]
     if cone and n_outer:
         # (outer, weight) pairs; on the torus no coordinate is 0, so the
@@ -162,7 +259,7 @@ def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False,
     def run(chunk):
         total = 0
         for outer, weight in chunk:
-            total += weight * tally(outer, cols, n_outer)
+            total += weight * tally(outer)
         return total
 
     if threads <= 1 or n_outer == 0:  # a single block has nothing to split
@@ -175,7 +272,7 @@ def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False,
 
 
 def _walk_zeros(
-    evaluators,
+    compiled,
     F: FqField,
     m: int,
     *,
@@ -184,28 +281,20 @@ def _walk_zeros(
     cone: bool = False,
     threads: int = 1,
 ) -> int:
-    """Points of F_q^m (or the torus) where every evaluator vanishes (or,
-    with ``any_zero``, at least one does).  Each evaluator maps (outer,
-    cols, n_outer) to its reduced values over the block; ``cone`` is for
-    evaluators of homogeneous polynomials (see ``_walk``)."""
-    if not evaluators:
+    """Points of F_q^m (or the torus) where every compiled polynomial (see
+    ``_compile``) vanishes (or, with ``any_zero``, at least one does);
+    ``cone`` is for homogeneous polynomials (see ``_walk``)."""
+    if not compiled:
         return 0 if any_zero else (F.q - 1 if torus else F.q) ** m
-    # The last block's values stay referenced until the next block has its
-    # own: freeing them with each block made malloc trim and re-fault the
-    # heap (the union of Gn:4 at q = 3 took 892k minor faults, 3k held).
-    held = [None]
+    evaluators = [_Bilinear(c, F, m, torus) for c in compiled]
 
-    def tally(outer, cols, n_outer) -> int:
-        mask = np.full(len(cols[0]) if cols else 1, not any_zero)
+    def tally(outer) -> int:
+        mask = None
         for ev in evaluators:
-            vals = ev(outer, cols, n_outer)
-            if any_zero:
-                mask |= vals == 0
-            else:
-                mask &= vals == 0
+            zero = ev(outer) == 0
+            mask = zero if mask is None else (mask | zero if any_zero else mask & zero)
             if mask.all() if any_zero else not mask.any():
                 break
-        held[0] = vals
         return int(mask.sum())
 
     return _walk(tally, F, m, torus=torus, cone=cone, threads=threads)
@@ -226,12 +315,15 @@ def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> li
     so the walk takes one point per line (see ``_walk``)."""
     N, d = len(labels), M.dim
     cone = len(set().union(*(_degrees(e, F.p) for row in M.entries for e in row))) <= 1
+    values, b = _block(F, N, False)
+    cols, n_outer = _grid(F.codes(values), b), N - b
+    inner_zeros = (cols == 0).sum(axis=0)
 
-    def tally(outer, cols, n_outer) -> np.ndarray:
+    def tally(outer) -> np.ndarray:
         point = {
             lab: outer[i] if i < n_outer else cols[i - n_outer] for i, lab in enumerate(labels)
         }
-        zeros = sum(x == 0 for x in outer) + sum(c == 0 for c in cols)
+        zeros = sum(x == 0 for x in outer) + inner_zeros
         return np.bincount(zeros * (d + 1) + block_rank(M, point, F), minlength=(N + 1) * (d + 1))
 
     return _walk(tally, F, N, cone=cone, threads=threads).reshape(N + 1, d + 1).tolist()
@@ -255,18 +347,6 @@ def _nonconstant(polys, F: FqField, n_vars: int):
     return kept, used
 
 
-def _evaluators(polys, F: FqField, var_index: dict) -> list:
-    """One block evaluator per polynomial, with variable v at lattice
-    coordinate ``var_index[v]``.  Terms that vanish mod p are dropped, so a
-    polynomial that vanishes mod p evaluates to 0 and covers every point of
-    a union."""
-    out = []
-    for P in polys:
-        monos = [(c % F.p, tuple(var_index[v] for v in mono)) for mono, c in P.terms()]
-        out.append(partial(_eval_block, [(c, pos, _wide(pos, F.p)) for c, pos in monos if c], F))
-    return out
-
-
 def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: int = 1) -> int:
     """Exact number of common zeros in affine space (or the torus).  When
     every polynomial is homogeneous mod p its zeros form a cone, walked
@@ -277,8 +357,8 @@ def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: in
     polys, used = split
     q, m = F.q, len(used)
     cone = all(len(_degrees(P, F.p)) == 1 for P in polys)
-    evaluators = _evaluators(polys, F, {v: i for i, v in enumerate(used)})
-    raw = _walk_zeros(evaluators, F, m, torus=torus, cone=cone, threads=threads)
+    compiled = _compile(polys, F, {v: i for i, v in enumerate(used)})
+    raw = _walk_zeros(compiled, F, m, torus=torus, cone=cone, threads=threads)
     return raw * (q - 1 if torus else q) ** (n_vars - m)
 
 

@@ -80,12 +80,19 @@ def _least_irreducible(p: int, s: int) -> tuple:
 class FqField:
     """Arithmetic tables for F_q with element enumeration 0..q-1.
 
-    Block kernels use the array arithmetic ``vadd``, ``vsub``, ``vmul``,
-    ``reduce`` and ``codes`` on codes or numpy arrays of codes.  For prime q
-    these are int64 integers, unreduced until ``reduce`` takes them mod p,
-    and ``vadd(acc, b)`` adds into an array ``acc`` in place, so its first
-    operand must be an accumulator the caller owns.  For prime powers they
-    are uint8 table lookups, always reduced, and ``reduce`` is the identity.
+    The batched rank (``matform.block_rank``) uses the array arithmetic
+    ``vadd``, ``vsub``, ``vmul``, ``reduce`` and ``codes`` on codes or numpy
+    arrays of codes.  For prime q these are int64 integers, unreduced until
+    ``reduce`` takes them mod p, and ``vadd(acc, b)`` adds into an array
+    ``acc`` in place, so its first operand must be an accumulator the
+    caller owns.  For prime powers they are uint8 table lookups, always
+    reduced, and ``reduce`` is the identity.
+
+    The counting evaluator's matrix products over F_q run on F_p digits:
+    ``digits[c]`` holds the s base-p digits of code c, and ``mul_matrix[c]``
+    the s x s matrix over F_p of multiplication by c, so that
+    digits[mul(c, x)] = mul_matrix[c] @ digits[x] mod p.
+    ``pow_table[x, e]`` is x^e for 0 <= e < q.
     """
 
     def __init__(self, q: int, p: int, s: int, irreducible: tuple | None):
@@ -136,6 +143,14 @@ class FqField:
                 inv[a] = next(b for b in range(1, q) if mul[a, b] == 1)
         self.neg_table = neg
         self.inv_table = inv
+        codes = np.arange(q)
+        self.digits = (codes[:, None] // p ** np.arange(s)) % p
+        # column j: the digits of c * p^j, the image of the j-th basis element
+        self.mul_matrix = self.digits[mul[:, p ** np.arange(s)]].transpose(0, 2, 1)
+        pw = np.ones((q, q), dtype=np.uint8)
+        for e in range(1, q):
+            pw[:, e] = mul[pw[:, e - 1], codes]
+        self.pow_table = pw
 
     # scalar helpers -------------------------------------------------------
     def add(self, a: int, b: int) -> int:

@@ -41,12 +41,35 @@ def _phi_split2(G: Graph, i: int, j: int):
     return fij, fi_j, f_ij, f_i_j
 
 
-def check_identity(name: str, G: Graph, indices=None) -> IdentityResult:
-    """Verify one named identity on G; see _CHECKS for the catalogue."""
+def check_identity(name: str, G: Graph, indices=None, *, minors: dict | None = None) -> IdentityResult:
+    """Verify one named identity on G; see _CHECKS for the catalogue.
+
+    ``minors`` memoizes the dual Dodgson minors phi^{A,B}_C of G by
+    (A, B, C); checks of the same G may share one dict (see
+    ``sweep_identities``), checks of different graphs must not.
+    """
     fn = _CHECKS.get(name)
     if fn is None:
         raise BadIndices(f"unknown identity {name!r}; known: {sorted(_CHECKS)}")
-    return fn(G, indices or {})
+    memo = {} if minors is None else minors
+
+    def pair(A, B, C=()) -> MLPoly:
+        key = (frozenset(A), frozenset(B), frozenset(C))
+        if key not in memo:
+            memo[key] = phi_dodgson_pair(G, *key)
+        return memo[key]
+
+    return fn(G, indices or {}, pair)
+
+
+def sweep_identities(G: Graph, names=None):
+    """Yield (name, indices, result) for each identity of ``names`` (all by
+    default) at each of its ``default_identity_indices`` on G.  The checks
+    share one memo of G's dual Dodgson minors, made for this sweep."""
+    minors: dict = {}
+    for name in IDENTITY_NAMES if names is None else names:
+        for idx in default_identity_indices(G, name):
+            yield name, idx, check_identity(name, G, idx, minors=minors)
 
 
 def _get(indices, key):
@@ -55,7 +78,7 @@ def _get(indices, key):
     return indices[key]
 
 
-def _c10(G: Graph, indices) -> IdentityResult:
+def _c10(G: Graph, indices, pair) -> IdentityResult:
     k = _get(indices, "k")
     f = phi(G)
     hi, lo = f.coeff_and_rest(k)
@@ -67,7 +90,7 @@ def _c10(G: Graph, indices) -> IdentityResult:
     return IdentityResult("c10", ok, {"case": "regular"})
 
 
-def _e100(G: Graph, indices) -> IdentityResult:
+def _e100(G: Graph, indices, pair) -> IdentityResult:
     k = _get(indices, "k")
     u, v = G.endpoints(k)
     if u != v:
@@ -76,7 +99,7 @@ def _e100(G: Graph, indices) -> IdentityResult:
     return IdentityResult("e100", ok)
 
 
-def _e101(G: Graph, indices) -> IdentityResult:
+def _e101(G: Graph, indices, pair) -> IdentityResult:
     a, b = _get(indices, "pair")
     ea, eb = G.endpoints(a), G.endpoints(b)
     if ea != eb or ea[0] == ea[1]:
@@ -87,10 +110,10 @@ def _e101(G: Graph, indices) -> IdentityResult:
     return IdentityResult("e101", lhs == rhs)
 
 
-def _c14(G: Graph, indices) -> IdentityResult:
+def _c14(G: Graph, indices, pair) -> IdentityResult:
     i, j = _get(indices, "i"), _get(indices, "j")
     fij, fi_j, f_ij, f_i_j = _phi_split2(G, i, j)
-    rhs = phi_dodgson_pair(G, {i}, {j}) ** 2
+    rhs = pair({i}, {j}) ** 2
     lhs_main = fi_j * f_ij
     for s in (1, -1):
         if lhs_main + s * (fij * f_i_j) == rhs:
@@ -98,13 +121,13 @@ def _c14(G: Graph, indices) -> IdentityResult:
     return IdentityResult("c14", False)
 
 
-def _c15(G: Graph, indices) -> IdentityResult:
+def _c15(G: Graph, indices, pair) -> IdentityResult:
     i, j = _get(indices, "i"), _get(indices, "j")
     f = phi(G)
     fi = f.coeff_and_rest(i)[0]
     fj = f.coeff_and_rest(j)[0]
     fij, fi_j, f_ij, f_i_j = _phi_split2(G, i, j)
-    rhs = phi_dodgson_pair(G, {i}, {j}) ** 2
+    rhs = pair({i}, {j}) ** 2
     for s in (1, -1):
         first = fj * fi + s * (fij * f)
         second = fi_j * f_ij + s * (fij * f_i_j)
@@ -113,22 +136,16 @@ def _c15(G: Graph, indices) -> IdentityResult:
     return IdentityResult("c15", False)
 
 
-def _c18(G: Graph, indices) -> IdentityResult:
+def _c18(G: Graph, indices, pair) -> IdentityResult:
     I = frozenset(indices.get("I", ()))
     J = frozenset(indices.get("J", ()))
     S = frozenset(indices.get("S", ()))
     K = frozenset(indices.get("K", ()))
     a, b, x = _get(indices, "a"), _get(indices, "b"), _get(indices, "x")
     IK, JK = I | K, J | K
-    t1 = phi_dodgson_pair(G, IK | {x}, JK | {x}, S) * phi_dodgson_pair(
-        G, IK | {a}, JK | {b}, S | {x}
-    )
-    t2 = phi_dodgson_pair(G, IK, JK, S | {x}) * phi_dodgson_pair(
-        G, IK | {a, x}, JK | {b, x}, S
-    )
-    rhs = phi_dodgson_pair(G, IK | {x}, JK | {b}, S) * phi_dodgson_pair(
-        G, IK | {a}, JK | {x}, S
-    )
+    t1 = pair(IK | {x}, JK | {x}, S) * pair(IK | {a}, JK | {b}, S | {x})
+    t2 = pair(IK, JK, S | {x}) * pair(IK | {a, x}, JK | {b, x}, S)
+    rhs = pair(IK | {x}, JK | {b}, S) * pair(IK | {a}, JK | {x}, S)
     # sign of each product depends on row/column conventions: resolve both
     # the relative sign of the left terms and the right-hand sign
     for s2, s3 in itertools.product((1, -1), repeat=2):
@@ -137,7 +154,7 @@ def _c18(G: Graph, indices) -> IdentityResult:
     return IdentityResult("c18", False)
 
 
-def _c20(G: Graph, indices) -> IdentityResult:
+def _c20(G: Graph, indices, pair) -> IdentityResult:
     I = frozenset(indices.get("I", ()))
     J = frozenset(indices.get("J", ()))
     S = frozenset(indices.get("S", ()))
@@ -146,22 +163,16 @@ def _c20(G: Graph, indices) -> IdentityResult:
         raise BadIndices("c20 needs |J| = |I| + 1")
     a, b, x = _get(indices, "a"), _get(indices, "b"), _get(indices, "x")
     IK, JK = I | K, J | K
-    t1 = phi_dodgson_pair(G, IK | {a, x}, JK | {x}, S) * phi_dodgson_pair(
-        G, IK | {b}, JK, S | {x}
-    )
-    t2 = phi_dodgson_pair(G, IK | {a}, JK, S | {x}) * phi_dodgson_pair(
-        G, IK | {b, x}, JK | {x}, S
-    )
-    rhs = phi_dodgson_pair(G, IK | {x}, JK, S) * phi_dodgson_pair(
-        G, IK | {a, b}, JK | {x}, S
-    )
+    t1 = pair(IK | {a, x}, JK | {x}, S) * pair(IK | {b}, JK, S | {x})
+    t2 = pair(IK | {a}, JK, S | {x}) * pair(IK | {b, x}, JK | {x}, S)
+    rhs = pair(IK | {x}, JK, S) * pair(IK | {a, b}, JK | {x}, S)
     for s2, s3 in itertools.product((1, -1), repeat=2):
         if t1 + s2 * t2 == s3 * rhs:
             return IdentityResult("c20", True, {"lhs_sign": s2, "rhs_sign": s3})
     return IdentityResult("c20", False)
 
 
-def _c100(G: Graph, indices) -> IdentityResult:
+def _c100(G: Graph, indices, pair) -> IdentityResult:
     """Corolla: phi_{G,1} = sum_i lambda_i a_i phi^{1,i} over the star of a vertex."""
     edges = tuple(_get(indices, "edges"))
     e1, rest = edges[0], edges[1:]
@@ -170,16 +181,16 @@ def _c100(G: Graph, indices) -> IdentityResult:
     if not common:
         raise BadIndices("corolla edges must share a vertex")
     target = phi(G).coeff_and_rest(e1)[1]
-    parts = [MLPoly.variable(i) * phi_dodgson_pair(G, {e1}, {i}) for i in rest]
+    parts = [MLPoly.variable(i) * pair({e1}, {i}) for i in rest]
     return _lambda_search("c100", target, parts)
 
 
-def _c101(G: Graph, indices) -> IdentityResult:
+def _c101(G: Graph, indices, pair) -> IdentityResult:
     """Cycle: phi^1 = sum_i lambda_i phi^{1,i} over the other cycle edges."""
     edges = tuple(_get(indices, "edges"))
     e1, rest = edges[0], edges[1:]
     target = phi(G).coeff_and_rest(e1)[0]
-    parts = [phi_dodgson_pair(G, {e1}, {i}) for i in rest]
+    parts = [pair({e1}, {i}) for i in rest]
     return _lambda_search("c101", target, parts)
 
 
@@ -193,14 +204,14 @@ def _lambda_search(name: str, target: MLPoly, parts) -> IdentityResult:
     return IdentityResult(name, False)
 
 
-def _cor7(G: Graph, indices) -> IdentityResult:
+def _cor7(G: Graph, indices, pair) -> IdentityResult:
     """(phi^{i,k})^2 = phi^k phi^i_k - phi_k phi^{ik} (radical membership core)."""
     i, k = _get(indices, "i"), _get(indices, "k")
     f = phi(G)
     fk, f_k = f.coeff_and_rest(k)
     fi = f.coeff_and_rest(i)[0]
     fik, fi_k = fi.coeff_and_rest(k)
-    lhs = phi_dodgson_pair(G, {i}, {k}) ** 2
+    lhs = pair({i}, {k}) ** 2
     rhs = fk * fi_k - f_k * fik
     if lhs == rhs:
         return IdentityResult("cor7", True, {"sign": 1})
@@ -250,6 +261,8 @@ def resultant_lemma_variants(G: Graph, i: int, j: int, k: int) -> dict:
     return out
 
 
+# Each check takes (G, indices, pair), where pair(A, B, C=()) is phi^{A,B}_C
+# of G, memoized as ``check_identity`` says.
 _CHECKS = {
     "c10": _c10,
     "e100": _e100,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 
 from .counting import (
-    CountReport, count_zeros, rank_histogram, sing_count, _check_budget, _evaluators, _walk_zeros,
+    CountReport, count_zeros, rank_histogram, sing_count, _check_budget, _compile, _walk_zeros,
 )
 from .errors import PreconditionUnmet
 from .fields import FqField
@@ -115,8 +115,8 @@ def quadric_union_count_walk(
     m = 4 * n
     _check_budget(F.q, m, budget)
     polys = [_quadric_poly(s, t) for s, t in _edge_quadrics(G)]
-    evaluators = _evaluators(polys, F, {i: i - 1 for i in range(1, m + 1)})
-    raw = _walk_zeros(evaluators, F, m, any_zero=True, cone=True, threads=threads)
+    compiled = _compile(polys, F, {i: i - 1 for i in range(1, m + 1)})
+    raw = _walk_zeros(compiled, F, m, any_zero=True, cone=True, threads=threads)
     return CountReport.from_raw(raw, F.q, m)
 
 

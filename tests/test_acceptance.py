@@ -37,7 +37,7 @@ from c2lab.graphs import (
     spanning_tree_count,
     spanning_trees,
 )
-from c2lab.identities import check_identity, default_identity_indices
+from c2lab.identities import sweep_identities
 from c2lab.invariants import (
     c2_dual,
     c2_dual_triangle,
@@ -97,11 +97,10 @@ def test_criterion_2_dodgson_suite():
     checked = 0
     bad = []
     for G in catalog:
-        for name in names:
-            for idx in default_identity_indices(G, name):
-                if not check_identity(name, G, idx).holds:
-                    bad.append((name, G.edges, idx))
-                checked += 1
+        for name, idx, result in sweep_identities(G, names):
+            if not result.holds:
+                bad.append((name, G.edges, idx))
+            checked += 1
     elapsed = time.time() - t0
     report(2, not bad and elapsed < 60, f"{checked} instances on {len(catalog)} graphs, {elapsed:.1f}s")
     assert not bad

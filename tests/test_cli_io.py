@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -256,3 +258,15 @@ def test_cli_family_json(capsys):
     assert rep["planar"] is True
     assert rep["graph"]["vertices"] == 3
     assert "dual" in rep
+
+
+@pytest.mark.parametrize("preset", (None, "2"))
+def test_import_runs_blas_on_one_thread_unless_told_otherwise(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = os.path.dirname(os.path.dirname(os.path.abspath(invariants.__file__)))
+    env["PYTHONPATH"] = src
+    code = "import os, c2lab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == (preset or "1")

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from c2lab.graphs import Graph, family, is_connected
 from c2lab.invariants import _find_triangle
 from c2lab.matform import PolyMatrix, _p_matrix_for_order, p_matrix
 from c2lab.multipoly import MLPoly, phi, phi_dodgson_pair, phi_two_index, psi, psi_two_index
+from c2lab.quadrics import _edge_quadrics, _quadric_poly, quadric_union_count_walk
 
 a = MLPoly.variable
 
@@ -107,13 +109,13 @@ def test_polynomial_vanishing_mod_p_constrains_nothing(monkeypatch):
     # every coefficient of 5 a1 a2 + 5 is 0 mod 5: it is dropped before
     # compiling, like a zero constant, by the AND count and count_reduced
     compiled = []
-    evaluators = counting._evaluators
+    compile_ = counting._compile
 
     def record(polys, F, var_index):
         compiled.extend(polys)
-        return evaluators(polys, F, var_index)
+        return compile_(polys, F, var_index)
 
-    monkeypatch.setattr(counting, "_evaluators", record)
+    monkeypatch.setattr(counting, "_compile", record)
     F5 = make_field(5)
     assert count_zeros([5 * a(1) * a(2) + 5, a(3)], F5, 3).raw == 25
     assert count_reduced(5 * a(1) * a(2) + 5 * a(3), F5, 3).raw == 125
@@ -445,3 +447,206 @@ def test_threads_do_not_change_cone_walks():
     M, labels = p_matrix(W4), sorted(W4.labels)  # 5^8 weights: 7 outer assignments of 5^6
     F5 = make_field(5)
     assert rank_histogram(M, F5, labels, threads=1) == rank_histogram(M, F5, labels, threads=2)
+
+
+# -- the bilinear evaluator against the elementwise one it replaced -------------
+#
+# The oracle below is the block evaluator the matrix product replaced: one
+# numpy pass over the block per factor of every monomial, in the field's
+# array arithmetic, over every outer assignment (no cone).
+
+_WINDOW = 40000  # int64 terms summed between reductions mod p
+
+
+def _inner_columns(values, b):
+    L = len(values)
+    return [np.tile(np.repeat(values, L ** (b - 1 - j)), L**j) for j in range(b)]
+
+
+def _wide(pos, p):
+    return _WINDOW * (p - 1) ** (len(pos) + 1) + p >= 2**63
+
+
+def _eval_block(monos, F, outer, cols, n_outer):
+    acc = 0
+    for k, (coeff, pos, wide) in enumerate(monos):
+        if k % _WINDOW == 0:
+            acc = F.reduce(acc)
+        scalar = coeff
+        inner = []
+        for t in pos:
+            if t < n_outer:
+                scalar = F.reduce(F.vmul(scalar, outer[t]))
+            else:
+                inner.append(t - n_outer)
+        if scalar == 0:
+            continue
+        if inner:
+            term = F.vmul(cols[inner[0]], scalar)
+            for t in inner[1:]:
+                term = F.vmul(term, cols[t])
+                if wide:
+                    term = F.reduce(term)
+            acc = F.vadd(acc, term)
+        else:
+            acc = F.vadd(acc, scalar)
+    return F.reduce(acc)
+
+
+def eval_block_monos(P, F, index):
+    """P compiled for ``_eval_block``, variable v at coordinate index[v]."""
+    monos = [(c % F.p, tuple(index[v] for v in mono)) for mono, c in P.terms() if c % F.p]
+    return [(c, pos, _wide(pos, F.p)) for c, pos in monos]
+
+
+def eval_block_grid(F, n_vars, torus):
+    """(values, b, columns of the inner block) of a walk of F_q^n_vars."""
+    values = np.arange(1 if torus else 0, F.q)
+    b = 0
+    while b < n_vars and len(values) ** (b + 1) <= 1 << 16:
+        b += 1
+    return values, b, _inner_columns(F.codes(values), b)
+
+
+def eval_block_zeros(polys, F, n_vars, *, torus=False, any_zero=False):
+    """Points of F_q^n_vars (or the torus) where every polynomial vanishes
+    (or, with ``any_zero``, one does); the variables take the first
+    coordinates in sorted order."""
+    index = {v: i for i, v in enumerate(sorted(set().union(*(P.variables() for P in polys))))}
+    compiled = [eval_block_monos(P, F, index) for P in polys]
+    values, b, cols = eval_block_grid(F, n_vars, torus)
+    total = 0
+    for outer in itertools.product([int(v) for v in values], repeat=n_vars - b):
+        mask = np.full(len(values) ** b, not any_zero)
+        for monos in compiled:
+            zero = _eval_block(monos, F, outer, cols, n_vars - b) == 0
+            mask = mask | zero if any_zero else mask & zero
+        total += int(mask.sum())
+    return total
+
+
+ORACLE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+ORACLE_GRID = [
+    (name, q)
+    for q in ORACLE_QS
+    for name, G in named_graphs().items()
+    if q**G.edge_count <= 2 * 10**5
+]
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_bilinear_evaluator_matches_eval_block_across_corpus(q, corpus):
+    F = make_field(q)
+    for name, G in corpus.items():
+        if (name, q) not in ORACLE_GRID:
+            continue
+        for what, polys, n in homogeneous_systems(G):
+            for torus, count in ((False, count_zeros), (True, count_zeros_torus)):
+                expected = eval_block_zeros(polys, F, n, torus=torus)
+                assert count(polys, F, n).raw == expected, (name, what, torus)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_union_walk_matches_eval_block(q, corpus):
+    F = make_field(q)
+    for name, G in corpus.items():
+        m = 4 * G.n
+        if m == 0 or q**m > 6 * 10**5:
+            continue
+        polys = [_quadric_poly(s, t) for s, t in _edge_quadrics(G)]
+        expected = eval_block_zeros(polys, F, m, any_zero=True)
+        assert quadric_union_count_walk(G, F).raw == expected, name
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+@pytest.mark.parametrize("torus", (False, True))
+def test_bilinear_values_match_eval_block(q, torus):
+    # whole blocks of values, not only their zero counts, at several outer
+    # assignments of a walk with outer coordinates, rows and columns
+    F, rng = make_field(q), random.Random(q)
+    m = next(k for k in range(1, 30) if (q - torus) ** k > 1 << 16 or k == 18) + 1
+    for _ in range(4):
+        monos = {}
+        for _ in range(rng.randint(1, 8)):
+            mono = tuple(sorted(rng.choices(range(1, m + 1), k=rng.randint(0, 2 * q))))
+            monos[mono] = rng.randint(-40, 40)
+        P = MLPoly(monos)
+        index = {v: v - 1 for v in range(1, m + 1)}
+        ev = counting._Bilinear(counting._compile([P], F, index)[0], F, m, torus)
+        values, b, cols = eval_block_grid(F, m, torus)
+        monos = eval_block_monos(P, F, index)
+        for _ in range(3):
+            outer = tuple(int(rng.choice(values)) for _ in range(m - b))
+            expected = _eval_block(monos, F, outer, cols, m - b)
+            for ev.right_first in (False, True):  # both associations of the product
+                assert (ev(outer) == expected).all(), (P, outer, ev.right_first)
+
+
+def test_exponents_wrap_at_q():
+    # x^q = x on F_q, so exponents e >= 1 reduce to 1 + (e - 1) mod (q - 1)
+    for q in ORACLE_QS:
+        F = make_field(q)
+        assert count_zeros([MLPoly({(1,) * q: 1, (1,): -1})], F, 1).raw == q
+        assert count_zeros([MLPoly({(1,) * (q + 1): 1, (1, 1): -1})], F, 1).raw == q
+        assert count_zeros([MLPoly({(1,) * (q - 1): 1, (): -1})], F, 1).raw == q - 1
+        assert count_zeros([MLPoly({(1,) * (2 * q - 2): 1, (): -1})], F, 1).raw == q - 1
+
+
+@st.composite
+def general_systems_st(draw):
+    """(q, polynomials, n): up to two systems in n <= 8 variables with
+    constant terms, terms of mixed degree and repeated variables (exponents
+    up to 2q), and q^n <= 6 * 10^5, so every q >= 5 can reach several
+    blocks."""
+    q = draw(st.sampled_from(ORACLE_QS))
+    n = draw(st.integers(1, max(k for k in range(1, 9) if q**k <= 6 * 10**5)))
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        mono = st.lists(st.integers(1, n), min_size=0, max_size=2 * q)
+        monos = draw(st.lists(mono, min_size=1, max_size=6))
+        coeffs = draw(st.lists(st.integers(-30, 30), min_size=len(monos), max_size=len(monos)))
+        polys.append(MLPoly({tuple(sorted(m)): c for m, c in zip(monos, coeffs)}))
+    return q, polys, n
+
+
+@given(general_systems_st(), st.booleans())
+@settings(max_examples=60, deadline=None)
+@seed(20131)
+def test_bilinear_evaluator_matches_eval_block_on_random_systems(system, torus):
+    q, polys, n = system
+    count = count_zeros_torus if torus else count_zeros
+    F = make_field(q)
+    assert count(polys, F, n).raw == eval_block_zeros(polys, F, n, torus=torus)
+
+
+def test_float64_products_agree(monkeypatch):
+    # float32 is exact for no sum here, so every product runs in float64
+    monkeypatch.setattr(counting, "_EXACT_DTYPES", ((np.float32, 0), (np.float64, 2**53)))
+    dtypes = []
+    gemm_dtype = counting._gemm_dtype
+    monkeypatch.setattr(counting, "_gemm_dtype", lambda *a: dtypes.append(gemm_dtype(*a)) or dtypes[-1])
+    for G, q in ((family("wheel", 4), 5), (family("complete", 4), 9)):
+        F, N = make_field(q), G.edge_count
+        for P in (psi(G), phi(G)):
+            assert count_zeros([P], F, N).raw == eval_block_zeros([P], F, N)
+    assert set(dtypes) == {np.float64}
+
+
+def test_products_past_the_exact_range_raise(monkeypatch):
+    assert counting._gemm_dtype(2**23 - 1) is np.float32
+    assert counting._gemm_dtype(2**23) is np.float64
+    with pytest.raises(PreconditionUnmet):
+        counting._gemm_dtype(2**52)
+    monkeypatch.setattr(counting, "_EXACT_DTYPES", ((np.float32, 1), (np.float64, 1)))
+    with pytest.raises(PreconditionUnmet):
+        count_zeros([psi(family("wheel", 4))], make_field(3), 8)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_mod_is_exact_up_to_the_bound(dtype):
+    limit = dict(counting._EXACT_DTYPES)[dtype]
+    for p in (2, 3, 5, 7, 11, 13):
+        x = np.concatenate([np.arange(5000), limit - 1 - np.arange(5000)]).astype(np.int64)
+        x = np.concatenate([x, (x // p) * p, (x // p) * p - 1])
+        x = x[(x >= 0) & (x < limit)]
+        assert (counting._mod(x.astype(dtype), p).astype(np.int64) == x % p).all()

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from c2lab import identities
 from c2lab.errors import BadIndices
 from c2lab.graphs import Graph, family
 from c2lab.identities import (
     check_identity,
-    default_identity_indices,
     resultant_lemma_variants,
+    sweep_identities,
 )
 
 
@@ -109,9 +110,22 @@ def test_cor7_radical_identity(catalog5):
 def test_full_sweep_small_catalog(catalog5):
     names = ("c10", "c14", "c15", "c18", "c20", "c100", "c101", "e100", "e101")
     for G in catalog5:
-        for name in names:
-            for idx in default_identity_indices(G, name):
-                assert check_identity(name, G, idx).holds, (name, G.edges, idx)
+        for name, idx, result in sweep_identities(G, names):
+            assert result.holds, (name, G.edges, idx)
+
+
+def test_sweep_builds_each_minor_once(monkeypatch):
+    built = []
+    pair = identities.phi_dodgson_pair
+
+    def spy(G, A, B, C=()):
+        built.append((A, B, C))
+        return pair(G, A, B, C)
+
+    monkeypatch.setattr(identities, "phi_dodgson_pair", spy)
+    results = list(sweep_identities(family("wheel", 4)))
+    assert results and all(r.holds for _, _, r in results)
+    assert built and len(built) == len(set(built))
 
 
 def test_resultant_lemma_resolution():
