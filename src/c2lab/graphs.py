@@ -147,7 +147,9 @@ def contract(G: Graph, J) -> Graph:
 
     An edge set is contractible iff it contains no cycle of G, so the error
     does not depend on the order of contraction.  Parallel edges created by
-    vertex identification are retained.
+    vertex identification are retained.  The merged vertices are numbered
+    by their least vertex of G, so the result does not depend on the order
+    either; ``quotients`` numbers them the same way.
     """
     drop = set(_positions(G, J))
     uf = _forest(G, drop)
@@ -156,15 +158,16 @@ def contract(G: Graph, J) -> Graph:
             f"edge set {sorted(J)} contains a cycle; contracting it would "
             "contract a self-loop"
         )
-    reps = sorted({uf.find(v) for v in range(1, G.vertex_count + 1)})
-    new_id = {rep: k + 1 for k, rep in enumerate(reps)}
+    new_id = {}  # root -> new vertex, in the order of each class's least vertex
+    for v in range(1, G.vertex_count + 1):
+        new_id.setdefault(uf.find(v), len(new_id) + 1)
     edges = tuple(
         (new_id[uf.find(u)], new_id[uf.find(v)])
         for i, (u, v) in enumerate(G.edges)
         if i not in drop
     )
     labels = tuple(l for i, l in enumerate(G.labels) if i not in drop)
-    return Graph(edges, len(reps), labels)
+    return Graph(edges, len(new_id), labels)
 
 
 def subquotient(G: Graph, deleted, contracted) -> Graph:
@@ -286,17 +289,71 @@ def scan_sizes(N: int, max_deleted: int) -> list[tuple[int, int]]:
     return sizes
 
 
+def quotients(G: Graph, I, Js):
+    """The subquotients G\\I//J for the label sets J in ``Js`` (disjoint
+    from I), without labels: yields (J, key), where key is None when J
+    holds a cycle (``contract`` would raise) and otherwise
+    (vertex count, sorted edge tuple) of ``subquotient(G, I, J)``.
+
+    The scans' kernel: it builds no Graph and validates nothing per J.
+    Isomorphism class, girth, planarity and the count of phi are
+    label-blind, so the key decides them, and ``Graph(edges, V)`` of a
+    key rebuilds the subquotient with labels 1..N.
+    """
+    pos = {lab: i for i, lab in enumerate(G.labels)}
+    gone = {pos[lab] for lab in I}
+    kept = [(i, u, v) for i, (u, v) in enumerate(G.edges) if i not in gone]
+    edges = G.edges
+    V = G.vertex_count
+    for J in Js:
+        parent = list(range(V + 1))  # a class joins under its least vertex
+        cut = set()
+        for lab in J:
+            i = pos[lab]
+            u, v = edges[i]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                yield J, None
+                break
+            if u < v:
+                parent[v] = u
+            else:
+                parent[u] = v
+            cut.add(i)
+        else:
+            # contract's numbering, by least vertex: parent[x] < x off the roots
+            new = [0] * (V + 1)
+            k = 0
+            for x in range(1, V + 1):
+                p = parent[x]
+                if p == x:
+                    k += 1
+                    new[x] = k
+                else:
+                    new[x] = new[p]
+            ends = []
+            for i, u, v in kept:
+                if i not in cut:
+                    a, b = new[u], new[v]
+                    ends.append((a, b) if a <= b else (b, a))
+            ends.sort()
+            yield J, (k, tuple(ends))
+
+
 def scan_pairs(G: Graph, sizes, *, budget: int | None, what: str):
     """The disjoint label sets (I, J) of G with (|I|, |J|) in ``sizes``:
     their number, and an iterator over them grouped by I as
-    (I, G\\I, whether G\\I is connected, the J's), sizes in the given
-    order and label sets in lexicographic order.
+    (I, whether G\\I is connected, the J's), sizes in the given order and
+    label sets in lexicographic order.
 
     A pair is degenerate when G\\I is disconnected or J holds a cycle of
-    G\\I (``is_forest_in`` fails, ``contract`` raises): exactly then
-    G\\I//J is not a connected subquotient and phi^J_I vanishes.  Raises
-    BudgetExceeded, as ``what`` of that many pairs, before the first pair
-    when their number exceeds ``budget``.
+    G\\I (``quotients`` gives no key): exactly then G\\I//J is not a
+    connected subquotient and phi^J_I vanishes.  Raises BudgetExceeded,
+    as ``what`` of that many pairs, before the first pair when their
+    number exceeds ``budget``.
     """
     N = G.edge_count
     total = sum(math.comb(N, si) * math.comb(N - si, sj) for si, sj in sizes)
@@ -306,11 +363,14 @@ def scan_pairs(G: Graph, sizes, *, budget: int | None, what: str):
 
 def _pair_groups(G: Graph, sizes):
     labels = sorted(G.labels)
+    pos = {lab: i for i, lab in enumerate(G.labels)}
     for si, sj in sizes:
         for I in itertools.combinations(labels, si):
-            GI = delete(G, I)
+            gone = {pos[lab] for lab in I}
+            uf = _UnionFind(G.vertex_count)
+            joins = sum(uf.union(u, v) for i, (u, v) in enumerate(G.edges) if i not in gone)
             rest = [l for l in labels if l not in I]
-            yield I, GI, is_connected(GI), itertools.combinations(rest, sj)
+            yield I, joins == G.vertex_count - 1, itertools.combinations(rest, sj)
 
 
 def census(G: Graph, u: int, v: int, *, budget: int | None = None) -> tuple[int, int]:
@@ -327,7 +387,12 @@ def census(G: Graph, u: int, v: int, *, budget: int | None = None) -> tuple[int,
     if u > h or v > n:
         raise InvalidRange(f"census needs u <= h_G={h} and v <= n_G={n}")
     r_bar, pairs = scan_pairs(G, [(h - u, n - v)], budget=budget, what="the census")
-    r = sum(is_forest_in(GI, J) for _, GI, connected, Js in pairs if connected for J in Js)
+    r = sum(
+        key is not None
+        for I, connected, Js in pairs
+        if connected
+        for _, key in quotients(G, I, Js)
+    )
     return r, r_bar
 
 

@@ -26,18 +26,17 @@ from .errors import (
     DivisibilityViolated,
     NotATriangle,
     PreconditionUnmet,
-    SelfLoopContraction,
 )
 from .fields import FqField
 from .graphs import (
     Graph,
     canonical_form,
     census,
-    contract,
     family,
     girth_at_most,
     is_connected,
     is_isomorphic,
+    quotients,
     scan_pairs,
     scan_sizes,
     spanning_tree_count,
@@ -160,6 +159,8 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     has a cycle of length <= 3, or is planar.  Planar G short-circuits.
     Of the degenerate pairs (``graphs.scan_pairs``) only those whose J holds
     a cycle of G\\I are skipped; a disconnected G\\I//J meets the condition.
+    The condition of a connected subquotient is decided once per scan for
+    each of its label-free keys (``graphs.quotients``).
 
     Raises BudgetExceeded before scanning when the scan has more pairs than
     ``budget``.
@@ -173,23 +174,29 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     N = G.edge_count
     _, pairs = scan_pairs(G, scan_sizes(N, N), budget=budget, what="the structural scan")
     counts: dict[str, int] = {}
+    conditions: dict[tuple, str | None] = {}  # key -> condition met, None if none
     examined = 0
     skipped = 0
-    for I, GI, connected, Js in pairs:
-        for J in Js:
-            try:
-                gamma = contract(GI, J)
-            except SelfLoopContraction:
+    for I, connected, Js in pairs:
+        for J, key in quotients(G, I, Js):
+            if key is None:
                 skipped += 1
                 continue
             examined += 1
             if not connected:  # contracting a forest keeps the components
-                counts["disconnected"] = counts.get("disconnected", 0) + 1
-            elif girth_at_most(gamma, 3):
-                counts["short-cycle"] = counts.get("short-cycle", 0) + 1
-            elif is_planar(gamma):
-                counts["planar"] = counts.get("planar", 0) + 1
+                cond = "disconnected"
+            elif key in conditions:
+                cond = conditions[key]
             else:
+                gamma = Graph(key[1], key[0])
+                if girth_at_most(gamma, 3):
+                    cond = "short-cycle"
+                elif is_planar(gamma):
+                    cond = "planar"
+                else:
+                    cond = None
+                conditions[key] = cond
+            if cond is None:
                 return AdmissibilityReport(
                     False,
                     "structural",
@@ -200,22 +207,11 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
                     failure_detail="subquotient is connected, non-planar, "
                     "and has no cycle of length <= 3",
                 )
+            counts[cond] = counts.get(cond, 0) + 1
     return AdmissibilityReport(
         True, "structural", examined=examined,
         skipped_degenerate=skipped, condition_counts=counts,
     )
-
-
-def _subquotients(pairs):
-    """(I, J, G\\I//J) for each pair of ``graphs.scan_pairs``, with None in
-    place of the subquotient when the pair is degenerate."""
-    for I, GI, connected, Js in pairs:
-        for J in Js:
-            try:
-                gamma = contract(GI, J) if connected else None
-            except SelfLoopContraction:
-                gamma = None
-            yield I, J, gamma
 
 
 def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> AdmissibilityReport:
@@ -228,37 +224,50 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> A
     its vanishing ideal is the whole space and carries no graph information.
     Otherwise phi^J_I is phi of the subquotient G\\I//J, and its count
     depends only on the subquotient's isomorphism class, so each class is
-    counted once per scan.  Raises BudgetExceeded before scanning when
-    the scan has more pairs than ``budget``, which also bounds each count.
+    counted once per scan, and each label-free key of a subquotient
+    (``graphs.quotients``) is classified once.  Raises BudgetExceeded
+    before scanning when the scan has more pairs than ``budget``, which
+    also bounds each count.
     """
     _log_divergent_guard(G)
     q = F.q
     examined = 0
     skipped = 0
-    class_counts: dict[tuple, int] = {}
+    class_counts: dict[tuple, int] = {}  # canonical form -> raw count
+    key_counts: dict[tuple, int] = {}  # label-free key -> raw count
     _, pairs = scan_pairs(
         G, scan_sizes(G.edge_count, G.n - 3), budget=budget, what="the at-q scan"
     )
-    for I, J, gamma in _subquotients(pairs):
-        if gamma is None:
-            skipped += 1
+    for I, connected, Js in pairs:
+        if not connected:
+            skipped += sum(1 for _ in Js)
             continue
-        examined += 1
-        key = canonical_form(gamma)
-        raw = class_counts.get(key)
-        if raw is None:
-            raw = count_zeros([phi(gamma)], F, gamma.edge_count, budget=budget, threads=threads).raw
-            class_counts[key] = raw
-        if raw % q**3 != 0:
-            return AdmissibilityReport(
-                False,
-                "at-q",
-                q=q,
-                examined=examined,
-                skipped_degenerate=skipped,
-                failure=(frozenset(I), frozenset(J)),
-                failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
-            )
+        for J, key in quotients(G, I, Js):
+            if key is None:
+                skipped += 1
+                continue
+            examined += 1
+            raw = key_counts.get(key)
+            if raw is None:
+                gamma = Graph(key[1], key[0])
+                form = canonical_form(gamma)
+                raw = class_counts.get(form)
+                if raw is None:
+                    raw = count_zeros(
+                        [phi(gamma)], F, gamma.edge_count, budget=budget, threads=threads
+                    ).raw
+                    class_counts[form] = raw
+                key_counts[key] = raw
+            if raw % q**3 != 0:
+                return AdmissibilityReport(
+                    False,
+                    "at-q",
+                    q=q,
+                    examined=examined,
+                    skipped_degenerate=skipped,
+                    failure=(frozenset(I), frozenset(J)),
+                    failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
+                )
     return AdmissibilityReport(
         True, "at-q", q=q, examined=examined, skipped_degenerate=skipped
     )
@@ -271,7 +280,8 @@ def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None, threads: int = 1) -> 
     (I, J) <-> (J, I), so both sums run over the subquotients G\\I//J: the
     sums agree, the terms of one pair need not.  A degenerate pair
     (``graphs.scan_pairs``) has both polynomials zero and adds (q-1)^(N-2t)
-    to each sum; the other torus counts are made once per isomorphism
+    to each sum; the other pairs are tallied by label-free key
+    (``graphs.quotients``) and the torus counts made once per isomorphism
     class.  Raises BudgetExceeded before summing when there are more pairs
     than ``budget``, which also bounds each count.
     """
@@ -279,12 +289,20 @@ def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None, threads: int = 1) -> 
     _, pairs = scan_pairs(G, [(t, t)], budget=budget, what="the S_t sums")
     amb = G.edge_count - 2 * t
     degenerate = 0
+    keys: dict[tuple, int] = {}  # label-free key -> pair count
+    for I, connected, Js in pairs:
+        if not connected:
+            degenerate += sum(1 for _ in Js)
+            continue
+        for _, key in quotients(G, I, Js):
+            if key is None:
+                degenerate += 1
+            else:
+                keys[key] = keys.get(key, 0) + 1
     classes: dict[tuple, list] = {}  # canonical form -> [a member, its pair count]
-    for _, _, gamma in _subquotients(pairs):
-        if gamma is None:
-            degenerate += 1
-        else:
-            classes.setdefault(canonical_form(gamma), [gamma, 0])[1] += 1
+    for (V, edges), k in keys.items():
+        gamma = Graph(edges, V)
+        classes.setdefault(canonical_form(gamma), [gamma, 0])[1] += k
 
     def total(poly) -> int:
         return degenerate * (F.q - 1) ** amb + sum(

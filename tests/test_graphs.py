@@ -24,6 +24,8 @@ from c2lab.graphs import (
     girth_at_most,
     is_connected,
     is_isomorphic,
+    quotients,
+    scan_pairs,
     shortest_cycle,
     spanning_tree_count,
     spanning_trees,
@@ -396,6 +398,53 @@ def test_census_range_errors():
         census(tri, -1, 0)
     with pytest.raises(InvalidRange):
         census(tri, 5, 0)
+
+
+def _kernel_agrees_with_contract(G):
+    """Every pair (I, J) of every size, through ``scan_pairs`` and the
+    kernel, against ``delete`` + ``contract``; returns the pair count."""
+    N = G.edge_count
+    sizes = [(si, sj) for si in range(N + 1) for sj in range(N - si + 1)]
+    total, groups = scan_pairs(G, sizes, budget=None, what="the kernel check")
+    seen = 0
+    for I, connected, Js in groups:
+        GI = delete(G, I)
+        assert connected == is_connected(GI), (G.edges, I)
+        for J, key in quotients(G, I, Js):
+            seen += 1
+            try:
+                gamma = contract(GI, J)
+            except SelfLoopContraction:
+                assert key is None, (G.edges, I, J)
+                continue
+            assert key == (gamma.vertex_count, tuple(sorted(gamma.edges))), (G.edges, I, J)
+    assert seen == total == 3**N
+    return seen
+
+
+def test_quotients_is_contract_pair_for_pair(corpus, catalog5):
+    import random
+
+    # labels that are not edge positions, in an order unlike the edges'
+    relabelled = Graph(
+        ((2, 5), (1, 3), (4, 5), (3, 2), (1, 5), (4, 1), (3, 5), (2, 4)), 5,
+        (9, 3, 12, 1, 7, 5, 2, 11),
+    )
+    graphs = list(corpus.values()) + [relabelled]
+    graphs += random.Random(13).sample(catalog5, 40)  # loops and parallel edges
+    assert sum(_kernel_agrees_with_contract(G) for G in graphs) > 30000
+
+
+def test_contract_numbers_merged_vertices_by_least_vertex():
+    # contracting (1,4), then (3,4) merges {1, 3, 4}; that class is vertex 1
+    # and vertex 2 is vertex 2, whichever root the unions leave
+    G = Graph(((2, 4), (1, 4), (3, 4), (1, 4), (3, 4)), 4)
+    assert contract(G, {2, 3}).edges == ((1, 2), (1, 1), (1, 1))
+    assert list(quotients(G, (), [(2, 3), (2, 4)])) == [
+        ((2, 3), (2, ((1, 1), (1, 1), (1, 2)))),
+        ((2, 4), None),  # a double edge is a cycle
+    ]
+    assert list(quotients(G, (4, 5), [(1, 3)])) == [((1, 3), (2, ((1, 2),)))]
 
 
 def test_delete_contract_commute(corpus):

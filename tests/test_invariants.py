@@ -6,14 +6,16 @@ import pytest
 from c2lab import invariants, multipoly
 from c2lab.corpus import nonplanar_log_divergent
 from c2lab.counting import CountReport, count_zeros, count_zeros_torus
-from c2lab.errors import BudgetExceeded, NotATriangle, PreconditionUnmet
+from c2lab.errors import BudgetExceeded, NotATriangle, PreconditionUnmet, SelfLoopContraction
 from c2lab.fields import make_field
 from c2lab.graphs import (
     Graph,
     canonical_form,
     census,
+    contract,
     delete,
     family,
+    girth_at_most,
     is_connected,
     is_forest_in,
     subquotient,
@@ -32,7 +34,8 @@ from c2lab.invariants import (
     s_t_sums,
     verify,
 )
-from c2lab.multipoly import phi, phi_two_index, psi_two_index
+from c2lab.multipoly import phi, phi_two_index, psi, psi_two_index
+from c2lab.planar import is_planar
 
 
 def test_c2_dual_banana3():
@@ -180,13 +183,15 @@ def test_admissible_at_q_guard():
         admissible_at_q(family("banana", 4), make_field(2))
 
 
-def _at_q_pairs(G):
+def _at_q_pairs(G, max_deleted=None):
     """Every disjoint (I, J) of the at-q scan, in its order: |J| > |I|,
-    |I| <= n_G - 3, by |I| + |J|, then |I|, then lexicographically."""
+    |I| <= n_G - 3, by |I| + |J|, then |I|, then lexicographically.  With
+    ``max_deleted`` = N_G, the pairs of the structural scan."""
     labels = sorted(G.labels)
     N = len(labels)
+    max_deleted = G.n - 3 if max_deleted is None else max_deleted
     sizes = sorted(
-        ((si, sj) for si in range(G.n - 2) for sj in range(si + 1, N - si + 1)),
+        ((si, sj) for si in range(max_deleted + 1) for sj in range(si + 1, N - si + 1)),
         key=lambda p: (p[0] + p[1], p),
     )
     for si, sj in sizes:
@@ -302,6 +307,165 @@ def test_admissible_at_q_counts_each_class_once_per_scan(monkeypatch):
     assert len(calls) == len(classes)
     assert admissible_at_q(G, F).admissible
     assert len(calls) == 2 * len(classes)
+
+
+def test_admissible_at_q_classifies_each_key_once_per_call(monkeypatch):
+    # the key memo lasts one call: canonical_form runs once per distinct
+    # label-free subquotient, and again in full on the next call
+    G, F = family("wheel", 4), make_field(2)
+    keys = set()
+    for I, J in _at_q_pairs(G):
+        GI = delete(G, I)
+        if is_connected(GI) and is_forest_in(GI, J):
+            gamma = contract(GI, J)
+            keys.add((gamma.vertex_count, tuple(sorted(gamma.edges))))
+    calls = []
+
+    def form(gamma):
+        calls.append(gamma)
+        return canonical_form(gamma)
+
+    monkeypatch.setattr(invariants, "canonical_form", form)
+    assert admissible_at_q(G, F).admissible
+    assert len(calls) == len(keys) < len(list(_at_q_pairs(G)))
+    assert {(g.vertex_count, g.edges) for g in calls} == keys
+    assert admissible_at_q(G, F).admissible
+    assert len(calls) == 2 * len(keys)
+
+
+def _structural_per_pair(G, planar=is_planar, girth=girth_at_most):
+    """The structural scan with one contraction and one check per pair:
+    the reference that the scan over label-free keys must reproduce."""
+    if planar(G):
+        return AdmissibilityReport(
+            True, "structural", planar_shortcut=True, condition_counts={"planar(G)": 1}
+        )
+    counts = {}
+    examined = skipped = 0
+    for I, J in _at_q_pairs(G, G.edge_count):
+        GI = delete(G, I)
+        try:
+            gamma = contract(GI, J)
+        except SelfLoopContraction:
+            skipped += 1
+            continue
+        examined += 1
+        if not is_connected(GI):
+            cond = "disconnected"
+        elif girth(gamma, 3):
+            cond = "short-cycle"
+        elif planar(gamma):
+            cond = "planar"
+        else:
+            return AdmissibilityReport(
+                False, "structural", examined=examined, skipped_degenerate=skipped,
+                condition_counts=counts, failure=(frozenset(I), frozenset(J)),
+                failure_detail="subquotient is connected, non-planar, "
+                "and has no cycle of length <= 3",
+            )
+        counts[cond] = counts.get(cond, 0) + 1
+    return AdmissibilityReport(
+        True, "structural", examined=examined, skipped_degenerate=skipped,
+        condition_counts=counts,
+    )
+
+
+def _no_short_cycle(gamma, k):
+    # With |I| < |J| a connected subquotient of a graph this small always
+    # has a cycle of length <= 3, so only with this in place of
+    # girth_at_most does a scan reach its planarity test.
+    return False
+
+
+def _planar_failing_at(k, calls):
+    """is_planar, except False for the k-th distinct class it is asked
+    about, counting G itself as class 0; appends each call to ``calls``."""
+    seen = []
+
+    def planar(gamma):
+        calls.append(gamma)
+        form = canonical_form(gamma)
+        if form not in seen:
+            seen.append(form)
+        return seen.index(form) != k and is_planar(gamma)
+
+    return planar
+
+
+def test_admissible_structural_matches_per_pair_scan():
+    G = nonplanar_log_divergent()
+    reference = _structural_per_pair(G)
+    assert reference.examined + reference.skipped_degenerate == 25048
+    assert admissible_structural(G).to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_admissible_structural_reports_first_pair_of_failing_class(monkeypatch, k):
+    G = nonplanar_log_divergent()
+    per_pair, per_key = [], []
+    reference = _structural_per_pair(G, _planar_failing_at(k, per_pair), _no_short_cycle)
+    assert not reference.admissible and reference.examined >= k
+    if k > 1:
+        assert reference.condition_counts["planar"] >= k - 1
+    monkeypatch.setattr(invariants, "girth_at_most", _no_short_cycle)
+    monkeypatch.setattr(invariants, "is_planar", _planar_failing_at(k, per_key))
+    rep = admissible_structural(G)
+    assert rep.to_json() == reference.to_json()
+    assert (rep.failure, rep.examined, rep.skipped_degenerate) == (
+        reference.failure, reference.examined, reference.skipped_degenerate
+    )
+    # planarity is decided once per label-free key, not once per pair
+    assert len(per_key) == 1 + len({(g.vertex_count, g.edges) for g in per_key[1:]})
+    assert len(per_key) < len(per_pair) if k == 12 else len(per_key) <= len(per_pair)
+
+
+_AGREEMENT_GRAPHS = {
+    "wheel:4": family("wheel", 4),
+    "Gn:4": family("Gn", 4),
+    "K33_doubled": nonplanar_log_divergent(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AGREEMENT_GRAPHS))
+def test_census_matches_forest_test_per_pair(name):
+    G = _AGREEMENT_GRAPHS[name]
+    labels = sorted(G.labels)
+    for u in range(G.h + 1):
+        for v in range(G.n + 1):
+            r = r_bar = 0
+            for I in itertools.combinations(labels, G.h - u):
+                GI = delete(G, I)
+                connected = is_connected(GI)
+                rest = [l for l in labels if l not in I]
+                for J in itertools.combinations(rest, G.n - v):
+                    r_bar += 1
+                    r += connected and is_forest_in(GI, J)
+            assert census(G, u, v) == (r, r_bar), (name, u, v)
+
+
+def _s_t_per_pair(G, t, F):
+    """S_t with one subquotient and two torus counts per pair."""
+    amb = G.edge_count - 2 * t
+    s_psi = s_phi = 0
+    for I, J in _s_t_pairs(G, t):
+        GI = delete(G, I)
+        if not (is_connected(GI) and is_forest_in(GI, J)):
+            s_psi += (F.q - 1) ** amb
+            s_phi += (F.q - 1) ** amb
+            continue
+        gamma = contract(GI, J)
+        s_psi += count_zeros_torus([psi(gamma)], F, amb).raw
+        s_phi += count_zeros_torus([phi(gamma)], F, amb).raw
+    return s_psi, s_phi
+
+
+@pytest.mark.parametrize("name", sorted(_AGREEMENT_GRAPHS))
+def test_s_t_sums_match_per_pair_counts(name):
+    G = _AGREEMENT_GRAPHS[name]
+    for t in (1, 2):
+        for q in (2, 3):
+            F = make_field(q)
+            assert s_t_sums(G, t, F) == _s_t_per_pair(G, t, F), (name, t, q)
 
 
 def test_s_t_sums_equal():
