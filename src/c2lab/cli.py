@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import corpus, io
-from .counting import count_reduced, count_zeros, count_zeros_torus
+from .counting import count_reduced_fields, count_zeros, count_zeros_torus
 from .errors import DEFAULT_BUDGET, BadParameter, BudgetExceeded, C2LabError
 from .fields import make_field
 from .graphs import Graph, census, family
@@ -96,20 +96,22 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.torus and args.method == "reduced":
-        raise BadParameter("--torus counts by brute force only; drop --method reduced")
+    if args.method == "reduced":
+        if args.torus:
+            raise BadParameter("--torus counts by brute force only; drop --method reduced")
+        if args.threads != 1:
+            raise BadParameter("--method reduced runs on one thread; drop --threads")
     gid, G = _graph_from_args(args)
     P = psi(G) if args.which == "psi" else phi(G)
-    results = []
-    for q in _q_list(args):
-        F = make_field(q)
-        if args.method == "reduced":
-            rep = count_reduced(P, F, G.edge_count, budget=args.budget)
-        elif args.torus:
-            rep = count_zeros_torus([P], F, G.edge_count, budget=args.budget, threads=args.threads)
-        else:
-            rep = count_zeros([P], F, G.edge_count, budget=args.budget, threads=args.threads)
-        results.append(rep.to_json())
+    fields = [make_field(q) for q in _q_list(args)]
+    if args.method == "reduced":
+        reports = count_reduced_fields(P, fields, G.edge_count, budget=args.budget)
+    else:
+        count = count_zeros_torus if args.torus else count_zeros
+        reports = [
+            count([P], F, G.edge_count, budget=args.budget, threads=args.threads) for F in fields
+        ]
+    results = [rep.to_json() for rep in reports]
     _emit(
         {
             "command": "count",
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=1,
                 help="parallel counting lanes, c2lab's only parallelism (BLAS runs on one "
                 "thread); on 2 cores a second one pays on position-space unions and costs on "
-                "parametric counts",
+                "parametric counts; count --method reduced takes none",
             )
             p.add_argument(
                 "--budget",

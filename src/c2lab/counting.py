@@ -12,15 +12,17 @@ independent of the schedule.
 A walk of F_q^m fixes the first m - b coordinates (the outer assignment)
 and takes the last b as an inner block of at most 2^16 points.  Every
 polynomial is evaluated on a block by one bilinear evaluator, ``_Bilinear``,
-the same for every q.  The block's coordinates split into b1 row
-coordinates and b2 = ceil(b / 2) column coordinates, with R and B values,
-and
+the same for every q and set up once per system of polynomials.  The
+block's coordinates split into b1 row coordinates and b2 = ceil(b / 2)
+column coordinates, with R and B values, and
 
     P(outer, rows, columns) = sum_{j,k} V_j(rows) W_jk(outer) M_k(columns),
 
 where j and k run over the J distinct row parts and the K distinct column
 parts of P's monomials.  The row monomials V (J x R) and the column
-monomials M (K x B) are built once per walk.  Per block, W (J x K) sums
+monomials M (K x B) are built once per walk, as one table each for the
+union of the parts of the system's polynomials; each polynomial gathers
+its own rows, so its product stays J x K.  Per block, W (J x K) sums
 each term's coefficient times its outer factors into the cell of its row
 and column part, and the block's values are (V^T W M) mod p, raveled
 row-major, so the last coordinate varies fastest.  Over q = p^s every
@@ -39,11 +41,17 @@ zero count and rank of a matrix whose entries share one degree), the walk
 takes one outer assignment per line through the origin, with weight
 q - 1, plus the zero assignment: 1/(q - 1) of the outer assignments.
 Non-homogeneous systems take the plain walk over every outer assignment.
+
+The elimination counter ``count_reduced`` works on polynomials over Z, so
+one elimination serves several fields (``count_reduced_fields``); only its
+fallback enumerations walk one field.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -133,93 +141,123 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _compile(polys, F: FqField, var_index: dict) -> list:
-    """Each polynomial as (coefficients, exponents), with variable v at
-    lattice coordinate ``var_index[v]``: the terms that survive mod p, their
-    coefficients mod p, and a terms x len(var_index) exponent matrix.  An
+def _compile(polys, F: FqField, var_index: dict) -> tuple:
+    """The system as (coefficients, exponents, sizes), variable v at lattice
+    coordinate ``var_index[v]``: the terms of each polynomial in turn that
+    survive mod p, their coefficients mod p, a terms x len(var_index)
+    exponent matrix, and the number of terms of each polynomial.  An
     exponent e >= 1 becomes 1 + (e - 1) mod (q - 1), as x^q = x on F_q.  A
     polynomial that vanishes mod p has no terms and evaluates to 0, so it
     covers every point of a union."""
     m = len(var_index)
-    out = []
-    for P in polys:
-        terms = [(c % F.p, mono) for mono, c in P.terms() if c % F.p]
-        starts = np.repeat(np.arange(len(terms)) * m, [len(mono) for _, mono in terms])
-        flat = np.array([var_index[v] for _, mono in terms for v in mono], dtype=np.intp)
-        exps = np.bincount(starts + flat, minlength=len(terms) * m).reshape(len(terms), m)
-        exps = np.where(exps > 0, (exps - 1) % (F.q - 1) + 1, 0)
-        out.append((np.array([c for c, _ in terms], dtype=np.intp), exps))
-    return out
+    kept = [[(c % F.p, mono) for mono, c in P.terms() if c % F.p] for P in polys]
+    terms = [t for ts in kept for t in ts]
+    starts = np.repeat(np.arange(len(terms)) * m, [len(mono) for _, mono in terms])
+    flat = np.array([var_index[v] for _, mono in terms for v in mono], dtype=np.intp)
+    exps = np.bincount(starts + flat, minlength=len(terms) * m).reshape(len(terms), m)
+    exps = np.where(exps > 0, (exps - 1) % (F.q - 1) + 1, 0)
+    return np.array([c for c, _ in terms], dtype=np.intp), exps, [len(ts) for ts in kept]
+
+
+def _distinct(keys: np.ndarray, size: int):
+    """The distinct values of ``keys``, integers below ``size``, in
+    increasing order, and the index of each key among them."""
+    index = np.zeros(size, dtype=np.intp)
+    index[keys] = 1
+    distinct = np.flatnonzero(index)
+    index[distinct] = np.arange(len(distinct))
+    return distinct, index[keys]
 
 
 class _Bilinear:
-    """The values of one compiled polynomial on the blocks of a walk of
-    F_q^m (of the torus, with ``torus``), by the matrix product of the
-    module docstring.  Calling it with an outer assignment gives the codes
-    of the block's points in the walk's order."""
+    """The values of a compiled system (see ``_compile``) on the blocks of a
+    walk of F_q^m (of the torus, with ``torus``), by the matrix product of
+    the module docstring.  Calling it with an outer assignment yields the
+    codes of the block's points in the walk's order, one polynomial at a
+    time, so that a caller can stop early.
+
+    The monomial tables V and M are built once for the union of the
+    system's row and column parts; each polynomial gathers its own J rows
+    of V and K rows of M, so its product stays J x K."""
 
     def __init__(self, compiled, F: FqField, m: int, torus: bool):
-        coeffs, exps = compiled
+        coeffs, exps, sizes = compiled
         values, b = _block(F, m, torus)
         q, p, s = F.q, F.p, F.s
         n_outer, b2 = m - b, (b + 1) // 2
+        ends = list(itertools.accumulate(sizes))
+        spans = list(zip([0] + ends[:-1], ends))
 
         def parts(lo, hi):
-            """The distinct exponent vectors of coordinates lo..hi-1 among
-            the terms, and the index of each term's.  The vectors are read
-            as base-q keys, below q^(hi - lo) <= q^b."""
+            """The codes of the system's distinct exponent vectors of
+            coordinates lo..hi-1 as monomials at every point of those
+            coordinates of the block (one row per vector, the last
+            coordinate varying fastest), and for each polynomial the rows of
+            its own vectors and the index of each term's among them.  The
+            vectors are read as base-q keys, below q^(hi - lo) <= q^b."""
             radix = q ** np.arange(hi - lo)
-            keys = exps[:, lo:hi] @ radix
-            index = np.zeros(q ** (hi - lo), dtype=np.intp)
-            index[keys] = 1
-            distinct = np.flatnonzero(index)
-            index[distinct] = np.arange(len(distinct))
-            return distinct[:, None] // radix % q, index[keys]
+            union, where = _distinct(exps[:, lo:hi] @ radix, q ** (hi - lo))
+            part = union[:, None] // radix % q
+            vals = np.ones((len(union), 1), dtype=np.intp)
+            # one coordinate at a time: vector x coordinate x value
+            for factor in F.pow_table[values, part[:, :, None]].transpose(1, 0, 2):
+                vals = F.mul_table[vals[:, :, None], factor[:, None, :]]
+                vals = vals.reshape(len(union), vals.shape[1] * vals.shape[2])
+            if len(spans) == 1:  # a lone polynomial owns every row
+                return vals, [(range(len(union)), where)]
+            return vals, [_distinct(where[a:e], len(union)) for a, e in spans]
 
-        def monomials(part, grid):
-            """Codes of the monomials ``part`` at every point of ``grid``."""
-            vals = np.ones((len(part), grid.shape[1]), dtype=np.intp)
-            for i, row in enumerate(grid):
-                vals = F.mul_table[vals, F.pow_table[row, part[:, i, None]]]
-            return vals
-
-        row_part, row_index = parts(n_outer, m - b2)
-        col_part, col_index = parts(m - b2, m)
-        J, K = len(row_part), len(col_part)
-        V = monomials(row_part, _grid(values, b - b2))  # J x R
-        M = monomials(col_part, _grid(values, b2))  # K x B
-        R, B = len(values) ** (b - b2), len(values) ** b2
+        V, rows = parts(n_outer, m - b2)
+        M, cols = parts(m - b2, m)
+        (J_all, R), (K_all, B) = V.shape, M.shape  # J x R and K x B over the union
         # V^T W sums J s products of digits; times M, K s products of those
         # sums with digits: at most J K s^2 (p - 1)^3, unreduced
-        dtype = _gemm_dtype(J * K * s * s * (p - 1) ** 3)
+        bounds = [len(j) * len(k) * s * s * (p - 1) ** 3 for (j, _), (k, _) in zip(rows, cols)]
+        dtypes = [_gemm_dtype(bound) for bound in bounds]
+        wide = _gemm_dtype(max(bounds))
+        mul_matrix = {dtype: F.mul_matrix.astype(dtype) for dtype in {*dtypes, wide}}
         # V^T as R x J blocks of multiplication matrices, M as K x B digit columns
-        self.V = F.mul_matrix[V.T].transpose(0, 2, 1, 3).reshape(R * s, J * s).astype(dtype)
-        self.M = F.digits[M].transpose(0, 2, 1).reshape(K * s, B).astype(dtype)
-        self.mul_matrix = F.mul_matrix.astype(dtype)
-        # the cheaper order of the exact, associative product V^T W M
-        self.right_first = J * K * B + R * J * B < R * J * K * s + R * K * B
-        self.F, self.J, self.K, self.R = F, J, K, R
+        V = mul_matrix[wide][V.T].transpose(0, 2, 1, 3).reshape(R * s, J_all * s)
+        M = F.digits.astype(wide)[M].transpose(0, 2, 1).reshape(K_all * s, B)
+        digit = np.arange(s)
+        # per polynomial: its terms a..e-1, the bin of each of their digits
+        # in W, J and K, its columns of V^T and rows of M in its dtype, and
+        # the multiplication matrices in that dtype
+        self.products, self.right_first = [], []
+        for (a, e), (row, row_index), (col, col_index), dtype in zip(spans, rows, cols, dtypes):
+            J, K = len(row), len(col)
+            V_own = V[:, (row[:, None] * s + digit).ravel()] if J < J_all else V
+            M_own = M[(col[:, None] * s + digit).ravel()] if K < K_all else M
+            # the bin of digit i of each term in the digits of the J x K matrix W
+            bins = ((row_index * K + col_index)[:, None] * s + digit).ravel()
+            V_own, M_own = V_own.astype(dtype, copy=False), M_own.astype(dtype, copy=False)
+            self.products.append((a, e, bins, J, K, V_own, M_own, mul_matrix[dtype]))
+            # the cheaper order of the exact, associative product V^T W M
+            self.right_first.append(J * K * B + R * J * B < R * J * K * s + R * K * B)
+        self.F, self.R = F, R
         self.coeffs, self.outer_exps = coeffs, exps[:, :n_outer]
-        # the bin of digit i of each term in the digits of the J x K matrix W
-        self.bins = ((row_index * K + col_index)[:, None] * s + np.arange(s)).ravel()
-        self.place = p ** np.arange(s)
+        self.place = p**digit
 
-    def __call__(self, outer) -> np.ndarray:
-        F, J, K, s, p = self.F, self.J, self.K, self.F.s, self.F.p
+    def __call__(self, outer):
+        F, s, p = self.F, self.F.s, self.F.p
         terms = self.coeffs  # times the outer factors of each term
         for i, x in enumerate(outer):
             terms = F.mul_table[terms, F.pow_table[x, self.outer_exps[:, i]]]
-        sums = np.bincount(self.bins, weights=F.digits[terms].ravel(), minlength=J * K * s)
-        W = (sums.reshape(J, K, s) % p).astype(np.intp) @ self.place
-        W = self.mul_matrix[W].transpose(0, 2, 1, 3).reshape(J * s, K * s)
-        vals = self.V @ (W @ self.M) if self.right_first else (self.V @ W) @ self.M
-        _mod(vals, p)
-        if s > 1:  # digits to codes, by Horner's rule
-            digits = vals.reshape(self.R, s, vals.shape[1])
-            vals = digits[:, s - 1]
-            for i in range(s - 2, -1, -1):
-                vals = vals * p + digits[:, i]
-        return vals.ravel()
+        term_digits = F.digits[terms]
+        for (a, e, bins, J, K, V, M, mul_matrix), right_first in zip(
+            self.products, self.right_first
+        ):
+            sums = np.bincount(bins, weights=term_digits[a:e].ravel(), minlength=J * K * s)
+            W = (sums.reshape(J, K, s) % p).astype(np.intp) @ self.place
+            W = mul_matrix[W].transpose(0, 2, 1, 3).reshape(J * s, K * s)
+            vals = V @ (W @ M) if right_first else (V @ W) @ M
+            _mod(vals, p)
+            if s > 1:  # digits to codes, by Horner's rule
+                digits = vals.reshape(self.R, s, vals.shape[1])
+                vals = digits[:, s - 1]
+                for i in range(s - 2, -1, -1):
+                    vals = vals * p + digits[:, i]
+            yield vals.ravel()
 
 
 def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False, threads: int = 1):
@@ -281,17 +319,17 @@ def _walk_zeros(
     cone: bool = False,
     threads: int = 1,
 ) -> int:
-    """Points of F_q^m (or the torus) where every compiled polynomial (see
-    ``_compile``) vanishes (or, with ``any_zero``, at least one does);
-    ``cone`` is for homogeneous polynomials (see ``_walk``)."""
-    if not compiled:
+    """Points of F_q^m (or the torus) where every polynomial of a compiled
+    system (see ``_compile``) vanishes (or, with ``any_zero``, at least one
+    does); ``cone`` is for homogeneous polynomials (see ``_walk``)."""
+    if not compiled[2]:  # no polynomials
         return 0 if any_zero else (F.q - 1 if torus else F.q) ** m
-    evaluators = [_Bilinear(c, F, m, torus) for c in compiled]
+    evaluate = _Bilinear(compiled, F, m, torus)
 
     def tally(outer) -> int:
         mask = None
-        for ev in evaluators:
-            zero = ev(outer) == 0
+        for vals in evaluate(outer):
+            zero = vals == 0
             mask = zero if mask is None else (mask | zero if any_zero else mask & zero)
             if mask.all() if any_zero else not mask.any():
                 break
@@ -441,57 +479,101 @@ def count_reduced(
     (cofactor system, resultant minors, leading-coefficient system); the
     recursion falls back to direct enumeration for systems too bushy to
     profit.  ``budget`` bounds the points enumerated by all fallbacks
-    together.
+    together; over several fields (``count_reduced_fields``) it applies to
+    each field on its own.
+    """
+    return count_reduced_fields(P, [F], n_vars, budget=budget)[0]
+
+
+def count_reduced_fields(
+    P: MLPoly, fields, n_vars: int | None = None, *, budget: int | None = None
+) -> list[CountReport]:
+    """``count_reduced`` over each field of ``fields``, in order, from one
+    elimination over Z: only the fallback enumerations run per field.
+    ``budget`` applies to each field: it bounds the points enumerated by
+    that field's fallbacks together.
     """
     if not P.is_multilinear():
         raise PreconditionUnmet("count_reduced expects a multilinear polynomial")
     if n_vars is None:
         n_vars = len(P.variables())
     budget = DEFAULT_BUDGET if budget is None else budget
-    raw = _count_system([P], F, n_vars, budget, [0])
-    return CountReport.from_raw(raw, F.q, n_vars)
+    fields = list(fields)
+    raws = _count_system([P], dict(enumerate(fields)), n_vars, budget, [0] * len(fields))
+    return [CountReport.from_raw(raws[i], F.q, n_vars) for i, F in enumerate(fields)]
 
 
-def _count_system(polys, F: FqField, n_vars: int, budget: int, spent: list) -> int:
-    """Raw count of the system; ``spent[0]`` accumulates enumerated points."""
-    split = _nonconstant(polys, F, n_vars)
-    if split is None:
-        return 0
-    system, used = split
-    q, m = F.q, len(used)
-    if not system:
-        return q**n_vars
-    system = list(set(system))
-    linear_vars = [v for v in used if all(P.linear_in(v) for P in system)]
-    total_monos = sum(P.monomial_count() for P in system)
-    if not linear_vars or len(system) > _MAX_SYSTEM or total_monos > _MAX_MONOS:
-        spent[0] += q**m
-        if spent[0] > budget:
-            raise BudgetExceeded(
-                f"count_reduced's enumeration fallbacks exceed the budget of {budget} points"
-            )
-        raw = _count_common_zeros(system, F, m, torus=False)
+def _count_system(polys, fields: dict, n_vars: int, budget: int, spent: list) -> dict:
+    """Raw count of the system over each field of ``fields`` (index -> F_q),
+    by index; ``spent[i]`` accumulates the points enumerated for field i.
+
+    Over F_q the system keeps the polynomials that do not vanish mod p, and
+    a kept constant leaves no zeros.  The fields that keep the same
+    polynomials share each elimination step, made once over Z: the step
+    q a + b - c holds over every field for polynomials with integer
+    coefficients read mod p, and only the fallback enumerations run per
+    field.  So each field walks the tree that a call with it alone walks."""
+    # the gcd of the coefficients (0 for the zero polynomial) of each
+    # polynomial and constant: it vanishes mod p exactly when p divides it
+    constants, system = [], []
+    for P in polys:
+        g = math.gcd(*[c for _, c in P.terms()])
+        if P.monomial_count() < 2 and not P.degree():
+            constants.append(g)
+        else:
+            system.append((P, g))
+    groups = {}
+    for i, F in fields.items():
+        p = F.p
+        if not any(g % p for g in constants):
+            groups.setdefault(frozenset([P for P, g in system if g % p]), {})[i] = F
+    out = dict.fromkeys(fields, 0)
+    for kept, group in groups.items():
+        if kept:
+            out.update(_eliminate(list(kept), group, n_vars, budget, spent))
+        else:
+            out.update((i, F.q**n_vars) for i, F in group.items())
+    return out
+
+
+def _eliminate(system, fields: dict, n_vars: int, budget: int, spent: list) -> dict:
+    """``_count_system`` of one or more nonconstant polynomials that vanish
+    mod no field's characteristic."""
+    monos = [mono for P in system for mono, _ in P.terms()]
+    occ = Counter(v for mono in monos for v in mono)  # of a linear v: the monomials holding it
+    used = sorted(occ)
+    if n_vars < len(used):
+        raise PreconditionUnmet(f"system uses {len(used)} variables but ambient is {n_vars}")
+    m = len(used)
+    # monomials are sorted tuples, so a repeated variable repeats in place
+    squared = {x for mono in monos for x, y in zip(mono, mono[1:]) if x == y}
+    linear_vars = [v for v in used if v not in squared]
+    if not linear_vars or len(system) > _MAX_SYSTEM or len(monos) > _MAX_MONOS:
+        raw = {}
+        for i, F in fields.items():
+            spent[i] += F.q**m
+            if spent[i] > budget:
+                raise BudgetExceeded(
+                    f"count_reduced's enumeration fallbacks exceed the budget of {budget} points"
+                )
+            raw[i] = _count_common_zeros(system, F, m, torus=False)
     else:
-        occ = {
-            v: sum(1 for P in system for mm, _ in P.terms() if v in mm)
-            for v in linear_vars
-        }
         v = max(linear_vars, key=lambda x: (occ[x], -x))
         gs, hs = [], []
         for P in system:
             g, h = P.coeff_and_rest(v)
             gs.append(g)
             hs.append(h)
-        a = _count_system(gs + hs, F, m - 1, budget, spent)
-        c = _count_system(gs, F, m - 1, budget, spent)
+        a = _count_system(gs + hs, fields, m - 1, budget, spent)
+        c = _count_system(gs, fields, m - 1, budget, spent)
         minors = [
             gs[i] * hs[j] - gs[j] * hs[i]
             for i in range(len(system))
             for j in range(i + 1, len(system))
         ]
-        b = _count_system(minors, F, m - 1, budget, spent)
-        raw = q * a + b - c
-    return raw * q ** (n_vars - m)
+        b = _count_system(minors, fields, m - 1, budget, spent)
+        raw = {i: F.q * a[i] + b[i] - c[i] for i, F in fields.items()}
+    return {i: raw[i] * F.q ** (n_vars - m) for i, F in fields.items()}
 
 
 # -- singular locus ----------------------------------------------------------

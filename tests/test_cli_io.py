@@ -153,6 +153,38 @@ def test_cli_count_torus_rejects_reduced_method(capsys):
     assert json.loads(out)["error"]["code"] == "BadParameter"
 
 
+def test_cli_count_reduced_rejects_threads(capsys):
+    # the elimination runs on one thread, so a second one would be ignored
+    argv = ["count", "--family", "wheel:3", "--q", "2", "--method", "reduced"]
+    assert run_cli(capsys, *argv, "--threads", "1")[0] == 0
+    code, out = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "BadParameter"
+
+
+def test_cli_count_reduced_budget_applies_to_each_field(capsys):
+    # psi(wheel:4)'s fallbacks enumerate 280 points at q = 2 and 2097 at q = 3
+    argv = ["count", "--family", "wheel:4", "--method", "reduced", "--budget", "1000"]
+    assert run_cli(capsys, *argv, "--q", "2,2,2")[0] == 0
+    code, out = run_cli(capsys, *argv, "--q", "2,3")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "code": "BudgetExceeded",
+        "message": "count_reduced's enumeration fallbacks exceed the budget of 1000 points",
+    }
+
+
+@pytest.mark.parametrize("method", ["brute", "reduced"])
+def test_cli_count_rejects_unsupported_q_before_counting(capsys, method):
+    # every --q is checked before the first count, so a budget that the
+    # count at q = 3 exceeds does not hide the unsupported q = 6
+    argv = ["count", "--family", "wheel:4", "--q", "3,6", "--method", method]
+    for extra in ([], ["--budget", "10"]):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "UnsupportedQ"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,6 +11,7 @@ from c2lab import counting
 from c2lab.counting import (
     chevalley_warning_check,
     count_reduced,
+    count_reduced_fields,
     count_via_inclusion_exclusion,
     count_via_torus_strata,
     count_zeros,
@@ -290,6 +291,98 @@ def test_count_reduced_budget_does_not_depend_on_earlier_calls():
         count_reduced(psi(W4), F3, 8, budget=10)
 
 
+
+def test_system_walk_stops_once_no_point_is_left(monkeypatch):
+    # x1^2 + x1 + 1 has no zero over F_2, so the first polynomial leaves no
+    # point of the block and the other two are never evaluated
+    calls = []
+    mod = counting._mod
+    monkeypatch.setattr(counting, "_mod", lambda x, p: calls.append(p) or mod(x, p))
+    assert count_zeros([a(1) * a(1) + a(1) + 1, a(2), a(3)], make_field(2), 3).raw == 0
+    assert len(calls) == 1
+
+
+# -- one elimination for several fields ------------------------------------------
+
+MULTI_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def test_count_reduced_fields_match_one_call_per_field(corpus):
+    # every field that fits in one call; each equals its own count_reduced
+    # call and the brute count
+    for name, G in corpus.items():
+        qs = [q for q in MULTI_QS if q**G.edge_count <= 2 * 10**5]
+        if not is_connected(G) or not qs:
+            continue
+        fields = [make_field(q) for q in qs]
+        for P in (psi(G), phi(G)):
+            reports = count_reduced_fields(P, fields, G.edge_count)
+            assert [r.q for r in reports] == qs
+            for rep, F in zip(reports, fields):
+                assert rep == count_reduced(P, F, G.edge_count), (name, F.q)
+                assert rep == count_zeros([P], F, G.edge_count), (name, F.q)
+
+
+@st.composite
+def multilinear_st(draw):
+    """(P, n): a multilinear polynomial in n <= 6 variables with a constant
+    term allowed and coefficients in [-6, 6], so that some polynomials of
+    the elimination vanish mod one characteristic and not mod another."""
+    n = draw(st.integers(1, 6))
+    mono = st.lists(st.integers(1, n), max_size=min(4, n), unique=True)
+    monos = draw(st.lists(mono, min_size=1, max_size=10))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(monos), max_size=len(monos)))
+    return MLPoly({tuple(sorted(m)): c for m, c in zip(monos, coeffs)}), n
+
+
+@given(multilinear_st())
+@settings(max_examples=80, deadline=None)
+@seed(20142)
+def test_count_reduced_fields_match_per_field_counts_on_random_polys(system):
+    # the counts, and the points each field's fallbacks enumerate, are those
+    # of a call with that field alone
+    P, n = system
+    fields = [make_field(q) for q in (2, 3, 4, 5, 7)]
+    reports = count_reduced_fields(P, fields, n)
+    spent = [0] * len(fields)
+    raws = counting._count_system([P], dict(enumerate(fields)), n, 10**9, spent)
+    for i, (rep, F) in enumerate(zip(reports, fields)):
+        assert rep == count_reduced(P, F, n) == count_zeros([P], F, n), F.q
+        alone = [0]
+        assert counting._count_system([P], {0: F}, n, 10**9, alone) == {0: raws[i]}
+        assert alone == [spent[i]], F.q
+
+
+def test_each_field_keeps_the_polynomials_that_survive_mod_p():
+    qs = (2, 3, 4, 5, 9)
+    fields = {i: make_field(q) for i, q in enumerate(qs)}
+    const = MLPoly.constant
+
+    def raws(polys, n_vars=2):
+        spent = [0] * len(qs)
+        out = counting._count_system(polys, fields, n_vars, 10**6, spent)
+        return [out[i] for i in range(len(qs))], spent
+
+    # 2 and 3 leave no zeros over any field, though their product 6 vanishes
+    # mod 2 and mod 3; 6 alone constrains nothing over F_2, F_3, F_4 and F_9
+    assert raws([const(2), const(3), a(1)])[0] == [0, 0, 0, 0, 0]
+    assert raws([const(6), a(1)])[0] == [2, 3, 4, 0, 9]
+    assert raws([const(2), a(1) * a(2) - 1])[0] == [1, 0, 3, 0, 0]
+    # five polynomials fall back to enumeration, but only where they survive
+    assert raws([2 * a(i) for i in range(1, 6)], 5) == ([32, 1, 1024, 1, 1], [0, 3**5, 0, 5**5, 9**5])
+
+
+def test_count_reduced_fields_budget_applies_to_each_field():
+    # psi(wheel:4)'s fallbacks enumerate 280 points at q = 2 and 2097 at q = 3
+    P, F2, F3 = psi(family("wheel", 4)), make_field(2), make_field(3)
+    assert count_reduced_fields(P, [F2, F2, F2], 8, budget=280)[0] == count_reduced(P, F2, 8)
+    with pytest.raises(BudgetExceeded):
+        count_reduced(P, F2, 8, budget=279)
+    with pytest.raises(BudgetExceeded):
+        count_reduced_fields(P, [F2, F3], 8, budget=1000)
+    assert count_reduced(P, F3, 8, budget=2097).raw == 2529
+
+
 # -- the cone walk -------------------------------------------------------------
 
 
@@ -561,25 +654,42 @@ def test_union_walk_matches_eval_block(q, corpus):
 @pytest.mark.parametrize("q", ORACLE_QS)
 @pytest.mark.parametrize("torus", (False, True))
 def test_bilinear_values_match_eval_block(q, torus):
-    # whole blocks of values, not only their zero counts, at several outer
-    # assignments of a walk with outer coordinates, rows and columns
+    # whole blocks of values of every polynomial of a system, not only their
+    # zero counts, at several outer assignments of a walk with outer
+    # coordinates, rows and columns; each polynomial keeps the J x K product
+    # it has alone, though the system's polynomials have different parts
     F, rng = make_field(q), random.Random(q)
     m = next(k for k in range(1, 30) if (q - torus) ** k > 1 << 16 or k == 18) + 1
-    for _ in range(4):
-        monos = {}
-        for _ in range(rng.randint(1, 8)):
-            mono = tuple(sorted(rng.choices(range(1, m + 1), k=rng.randint(0, 2 * q))))
-            monos[mono] = rng.randint(-40, 40)
-        P = MLPoly(monos)
-        index = {v: v - 1 for v in range(1, m + 1)}
-        ev = counting._Bilinear(counting._compile([P], F, index)[0], F, m, torus)
-        values, b, cols = eval_block_grid(F, m, torus)
-        monos = eval_block_monos(P, F, index)
+    index = {v: v - 1 for v in range(1, m + 1)}
+    values, b, cols = eval_block_grid(F, m, torus)
+    shapes = set()
+    for size in (1, 2, 3, 4):
+        polys = []
+        for _ in range(size):
+            monos = {}
+            for _ in range(rng.randint(1, 8)):
+                mono = tuple(sorted(rng.choices(range(1, m + 1), k=rng.randint(0, 2 * q))))
+                monos[mono] = rng.randint(-40, 40)
+            polys.append(MLPoly(monos))
+        ev = counting._Bilinear(counting._compile(polys, F, index), F, m, torus)
+        for P, product in zip(polys, ev.products):
+            alone = counting._Bilinear(counting._compile([P], F, index), F, m, torus)
+            J, K, V, M = product[3:7]
+            assert (J, K, V.shape, M.shape) == alone.products[0][3:5] + (
+                alone.products[0][5].shape, alone.products[0][6].shape
+            )
+            shapes.add((J, K))
+        monos = [eval_block_monos(P, F, index) for P in polys]
         for _ in range(3):
             outer = tuple(int(rng.choice(values)) for _ in range(m - b))
-            expected = _eval_block(monos, F, outer, cols, m - b)
-            for ev.right_first in (False, True):  # both associations of the product
-                assert (ev(outer) == expected).all(), (P, outer, ev.right_first)
+            expected = [_eval_block(mm, F, outer, cols, m - b) for mm in monos]
+            for right_first in (False, True):  # both associations of the product
+                ev.right_first = [right_first] * size
+                got = list(ev(outer))
+                assert len(got) == size
+                for k, (vals, want) in enumerate(zip(got, expected)):
+                    assert (vals == want).all(), (polys[k], outer, right_first)
+    assert len(shapes) > 1
 
 
 def test_exponents_wrap_at_q():
