@@ -52,7 +52,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +301,8 @@ def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False,
 
     if threads <= 1 or n_outer == 0:  # a single block has nothing to split
         return run(weighted)
+    from concurrent.futures import ThreadPoolExecutor
+
     outer_list = list(weighted)
     size = max(1, (len(outer_list) + threads - 1) // threads)
     chunks = [outer_list[i : i + size] for i in range(0, len(outer_list), size)]

@@ -31,7 +31,8 @@ class MLPoly:
         if terms:
             for mono, c in terms.items():
                 if c:
-                    clean[tuple(sorted(mono))] = clean.get(tuple(sorted(mono)), 0) + c
+                    key = tuple(sorted(mono))
+                    clean[key] = clean.get(key, 0) + c
         self._terms = {m: c for m, c in clean.items() if c}
         self._hash = None
 

@@ -302,3 +302,61 @@ def test_import_runs_blas_on_one_thread_unless_told_otherwise(preset):
     code = "import os, c2lab; print(os.environ['OPENBLAS_NUM_THREADS'])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == (preset or "1")
+
+
+_GUARD = """
+import contextlib, io, json, os, sys
+import c2lab, c2lab.cli
+from c2lab import io as gio
+from c2lab.cli import main
+from c2lab.corpus import nonplanar_log_divergent
+from c2lab.errors import NotPlanar
+from c2lab.graphs import family
+from c2lab.planar import planar_dual
+
+path = os.path.join(sys.argv[1], "K33_doubled.g")
+with open(path, "w") as fh:
+    fh.write(gio.graph_to_text(nonplanar_log_divergent()))
+steps = [["import"]]
+loaded = ["networkx" in sys.modules]
+for argv in (
+    ["count", "--family", "wheel:3", "--q", "2,3"],
+    ["c2", "--family", "complete:4", "--space", "all", "--q", "2"],
+    ["verify", "--theorem", "Thm2", "--family", "wheel:3", "--q", "2,3"],
+    ["admissible", "--family", "wheel:5", "--mode", "structural"],
+    ["admissible", "--graph-file", path, "--mode", "structural"],
+    ["census", "--family", "wheel:4", "--u", "1", "--v", "1"],
+    ["dual", "complete:5"],
+    ["family", "--family", "complete:4"],
+):
+    out = io.StringIO()
+    if argv[0] == "dual":
+        try:
+            planar_dual(family("complete", 5))
+            code = 0
+        except NotPlanar:
+            code = "NotPlanar"
+    else:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    steps.append([argv[0], code, "dual" in out.getvalue()])
+    loaded.append("networkx" in sys.modules)
+print(json.dumps([steps, loaded]))
+"""
+
+
+def test_networkx_loads_only_for_planar_dual(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(invariants.__file__)))
+    out = subprocess.run([sys.executable, "-c", _GUARD, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    steps, loaded = json.loads(out.stdout)
+    assert [s[:2] for s in steps] == [
+        ["import"], ["count", 0], ["c2", 0], ["verify", 0], ["admissible", 0],
+        ["admissible", 0], ["census", 0], ["dual", "NotPlanar"], ["family", 0],
+    ]
+    # a non-planar graph is refused before networkx is imported; only the
+    # embedding of a planar dual loads it
+    assert loaded == [False] * 8 + [True]
+    assert steps[-1][2]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import random
@@ -280,7 +281,8 @@ def test_single_block_starts_no_thread_pool(monkeypatch):
 
     K4, F3 = family("complete", 4), make_field(3)
     one = count_zeros([psi(K4)], F3, 6, threads=1).raw
-    monkeypatch.setattr(counting, "ThreadPoolExecutor", no_pool)
+    # _walk imports the pool only on its threaded route
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert count_zeros([psi(K4)], F3, 6, threads=8).raw == one
 
 
