@@ -16,7 +16,7 @@ from . import corpus, io
 from .counting import count_reduced_fields, count_zeros, count_zeros_torus
 from .errors import DEFAULT_BUDGET, BadParameter, BudgetExceeded, C2LabError
 from .fields import make_field
-from .graphs import Graph, census, family
+from .graphs import Graph, census, family, is_connected, spanning_trees
 from .invariants import (
     FIELD_FREE_THEOREMS,
     THEOREM_IDS,
@@ -76,7 +76,7 @@ def _cmd_poly(args) -> int:
     gid, G = _graph_from_args(args)
     P = psi(G) if args.which == "psi" else phi(G)
     if args.format == "text":
-        out = io.poly_to_text(P)
+        out = P.to_text()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(out + "\n")
@@ -88,7 +88,7 @@ def _cmd_poly(args) -> int:
             "command": "poly",
             "graph": _graph_json(gid, G),
             "which": args.which,
-            "poly": io.poly_to_json_terms(P),
+            "poly": P.to_json_terms(),
         },
         args.out,
     )
@@ -212,8 +212,6 @@ def _cmd_diag(args) -> int:
     if args.tree:
         T = frozenset(io.parse_int(x, "tree label") for x in args.tree.split(","))
     else:
-        from .graphs import spanning_trees
-
         T = spanning_trees(G)[0]
     d = diagonalize_wrt_tree(G, T)
     _emit(
@@ -244,11 +242,8 @@ def _cmd_family(args) -> int:
         return 0
     report = {"command": "family", "graph": _graph_json(gid, G)}
     report["planar"] = is_planar(G)
-    if report["planar"]:
-        from .graphs import is_connected
-
-        if is_connected(G):
-            report["dual"] = io.graph_to_json_dict(planar_dual(G))
+    if report["planar"] and is_connected(G):
+        report["dual"] = io.graph_to_json_dict(planar_dual(G))
     _emit(report, args.out)
     return 0
 

@@ -110,6 +110,31 @@ def is_connected(G: Graph) -> bool:
     return len(components(G)) == 1
 
 
+def incidence(G: Graph, order=None) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The row r_e of x_u - x_v of every edge (u, v), in edge order.
+
+    This is the one place that fixes the incidence convention of M(G),
+    P_G(alpha) and the position-space quadrics.  A row lists its nonzero
+    (index, coefficient) pairs, where index i is the vertex ``order[i]``
+    (default: 1..V-1).  Edges are oriented low -> high, so u gets +1 and v
+    gets -1.  A vertex outside ``order`` is pinned to zero and gets no
+    entry, and a self-loop's row is empty.
+    """
+    if order is None:
+        order = range(1, G.vertex_count)
+    index = {v: i for i, v in enumerate(order)}
+    rows = []
+    for u, v in G.edges:
+        row = ()
+        if u != v:
+            if u in index:
+                row = ((index[u], 1),)
+            if v in index:
+                row += ((index[v], -1),)
+        rows.append(row)
+    return tuple(rows)
+
+
 def _positions(G: Graph, labels) -> list[int]:
     want = set(labels)
     missing = want - set(G.labels)

@@ -112,11 +112,6 @@ def c2_pos(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
     return _pos_quotients(G, F, budget=budget, threads=threads)[0]
 
 
-def c2_pos_full_quotient(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
-    """The quotient [q_1...q_N]_q / q^2 reduced mod q^3 (the paper's other reading)."""
-    return _pos_quotients(G, F, budget=budget, threads=threads)[1]
-
-
 # -- duality admissibility ----------------------------------------------------
 
 

@@ -68,10 +68,6 @@ def load_graph(path: str) -> Graph:
     return graph_from_text(text)
 
 
-def poly_to_text(P: MLPoly) -> str:
-    return P.to_text()
-
-
 def poly_from_text(text: str) -> MLPoly:
     text = text.strip()
     if text == "0":
@@ -92,11 +88,3 @@ def poly_from_text(text: str) -> MLPoly:
             raise BadParameter(f"bad polynomial term {chunk!r}") from e
         terms[mono] = terms.get(mono, 0) + coeff
     return MLPoly(terms)
-
-
-def poly_to_json_terms(P: MLPoly) -> list:
-    return P.to_json_terms()
-
-
-def poly_from_json_terms(data) -> MLPoly:
-    return MLPoly.from_json_terms(data)

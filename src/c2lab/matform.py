@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndices, NotConnected, NotSpanningTree
-from .graphs import Graph, is_connected, is_forest_in
+from .graphs import Graph, incidence, is_connected, is_forest_in
 from .multipoly import MLPoly, det_sparse
 
 
@@ -143,9 +143,7 @@ def p_matrix(G: Graph, deleted_vertex: int | None = None) -> PolyMatrix:
     """n x n symmetric matrix sum_e a_e P_e with det = phi(G).
 
     The incidence block drops ``deleted_vertex`` (default: the highest-index
-    vertex).  Edge (s, t) contributes +a_e at (s,s) and (t,t) and -a_e at
-    (s,t), (t,s); entries touching the deleted vertex are omitted and
-    self-loops contribute nothing.
+    vertex); the rows are ``graphs.incidence``'s.
     """
     if not is_connected(G):
         raise NotConnected("P_G(alpha) requires a connected graph")
@@ -154,26 +152,18 @@ def p_matrix(G: Graph, deleted_vertex: int | None = None) -> PolyMatrix:
     if not 1 <= deleted_vertex <= G.vertex_count:
         raise BadIndices("deleted vertex out of range")
     keep = [v for v in range(1, G.vertex_count + 1) if v != deleted_vertex]
-    return _p_matrix_for_order(G, keep)
+    return gram_matrix(incidence(G, keep), G.labels, len(keep))
 
 
-def _p_matrix_for_order(G: Graph, vertex_order) -> PolyMatrix:
-    row_of = {v: i for i, v in enumerate(vertex_order)}
-    d = len(vertex_order)
-    rows = [[MLPoly.zero() for _ in range(d)] for _ in range(d)]
-    for lab, (u, v) in zip(G.labels, G.edges):
-        if u == v:
-            continue
-        a = MLPoly.variable(lab)
-        iu, iv = row_of.get(u), row_of.get(v)
-        if iu is not None:
-            rows[iu][iu] = rows[iu][iu] + a
-        if iv is not None:
-            rows[iv][iv] = rows[iv][iv] + a
-        if iu is not None and iv is not None:
-            rows[iu][iv] = rows[iu][iv] - a
-            rows[iv][iu] = rows[iv][iu] - a
-    return PolyMatrix(tuple(tuple(r) for r in rows))
+def gram_matrix(rows, labels, d: int) -> PolyMatrix:
+    """The d x d matrix sum_e a_e r_e r_e^T of sparse (index, coefficient)
+    rows r_e, with the variable a_e of the matching label."""
+    M = [[MLPoly.zero()] * d for _ in range(d)]
+    for lab, row in zip(labels, rows):
+        for i, ci in row:
+            for j, cj in row:
+                M[i][j] = M[i][j] + MLPoly({(lab,): ci * cj})
+    return PolyMatrix(tuple(map(tuple, M)))
 
 
 @dataclass(frozen=True)
@@ -236,7 +226,7 @@ def diagonalize_wrt_tree(G: Graph, T) -> TreeDiagonalization:
         raise NotSpanningTree(f"{sorted(T)} is not a spanning tree")
     root, order, child_of, parent_pos = _dfs_numeration(G, T)
     vertex_order = tuple(child_of)
-    start = _p_matrix_for_order(G, vertex_order)
+    start = gram_matrix(incidence(G, vertex_order), G.labels, len(vertex_order))
     n = len(order)
     depth = [0] * n
     for i in range(n):

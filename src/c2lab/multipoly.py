@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadIndices, IndexOverlap
-from .graphs import Graph, _spanning_tree_masks, edge_mask
+from .graphs import Graph, _spanning_tree_masks, edge_mask, incidence
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -75,9 +75,6 @@ class MLPoly:
 
     def monomial_count(self) -> int:
         return len(self._terms)
-
-    def linear_in(self, v: int) -> bool:
-        return all(m.count(v) <= 1 for m in self._terms)
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
@@ -268,51 +265,30 @@ class DodgsonIndex:
 def _m_matrix_rows(G: Graph, I, J, K):
     """Sparse rows of M(G) with edge rows I and edge columns J removed, a_K = 0.
 
-    Row/column order is edge-major (by label) then vertex-major; the incidence
-    block drops the last vertex; edges are oriented low -> high endpoint.
-    Entries are (column, MLPoly) pairs.
+    Row/column order is edge-major (by label) then vertex-major over the
+    vertices 1..V-1.  Edge e's row is a_e on the diagonal followed by its
+    ``graphs.incidence`` row r_e; the vertex rows hold -r_e^T.  Entries are
+    (column, MLPoly) pairs.
     """
     labels = sorted(G.labels)
-    col_of_edge = {}
-    c = 0
-    for lab in labels:
-        if lab not in J:
-            col_of_edge[lab] = c
-            c += 1
-    n_cols_edges = c
-    # vertex columns for vertices 1..vertex_count-1
-    last = G.vertex_count
+    row_of = dict(zip(G.labels, incidence(G)))
+    col_of_edge = {lab: c for c, lab in enumerate(lab for lab in labels if lab not in J)}
+    n_cols_edges = len(col_of_edge)
+    const = {1: MLPoly.constant(1), -1: MLPoly.constant(-1)}
     rows = []
-    one = MLPoly.constant(1)
-    minus_one = MLPoly.constant(-1)
+    vertex_rows = [[] for _ in range(G.n)]
     for lab in labels:
-        if lab in I:
-            continue
-        u, v = G.endpoints(lab)
-        row = []
-        if lab not in J and lab not in K:
-            row.append((col_of_edge[lab], MLPoly.variable(lab)))
-        if u != v:
-            if u != last:
-                row.append((n_cols_edges + u - 1, one))
-            if v != last:
-                row.append((n_cols_edges + v - 1, minus_one))
-        rows.append(row)
-    for w in range(1, last):
-        row = []
-        for lab in labels:
-            if lab in J:
-                continue
-            u, v = G.endpoints(lab)
-            if u == v:
-                continue
-            if u == w:
-                row.append((col_of_edge[lab], minus_one))
-            elif v == w:
-                row.append((col_of_edge[lab], one))
-        rows.append(row)
-    n_cols = n_cols_edges + last - 1
-    return rows, n_cols
+        r = row_of[lab]
+        if lab not in I:
+            row = []
+            if lab not in J and lab not in K:
+                row.append((col_of_edge[lab], MLPoly.variable(lab)))
+            row.extend((n_cols_edges + i, const[c]) for i, c in r)
+            rows.append(row)
+        if lab not in J:
+            for i, c in r:
+                vertex_rows[i].append((col_of_edge[lab], const[-c]))
+    return rows + vertex_rows, n_cols_edges + G.n
 
 
 def det_sparse(rows, n_cols) -> MLPoly:

@@ -1,23 +1,25 @@
 """Position-space counting: the union of propagator quadrics.
 
 Every vertex v <= n carries a 4-vector x_v over F_q (the last vertex is
-pinned to zero); an edge (s, t) contributes the quadric
-|x_s - x_t|^2 = y^1 y^2 + y^3 y^4 in the difference y.  The main count is
-the number of points of F_q^{4n} where the product of all edge quadrics
-vanishes.
+pinned to zero).  Edge e contributes the quadric y^1 y^2 + y^3 y^4 of
+y = sum_i r_e[i] x_i, where r_e is its ``graphs.incidence`` row; for an
+edge (s, t) this is |x_s - x_t|^2.  The main count is the number of
+points of F_q^{4n} where the product of all edge quadrics vanishes.
 
 It is counted by a character sum over edge weights, not over the q^{4n}
-points.  Parallel edges share a quadric, so let q_1..q_N' be the distinct
-ones.  With an additive character psi of F_q, [a != 0] is
-q^{-1} sum_t c(t) psi(t a), where c(0) = q - 1 and c(t) = -1 for t != 0.
-Multiplying over the edges and summing over x gives
+points.  One row rule covers the special edges: edges with equal rows
+(parallel edges) share a quadric, and an empty row (a self-loop) has the
+zero quadric, which covers every point.  So let q_1..q_N' be the quadrics
+of the distinct nonempty rows.  With an additive character psi of F_q,
+[a != 0] is q^{-1} sum_t c(t) psi(t a), where c(0) = q - 1 and
+c(t) = -1 for t != 0.  Multiplying over the edges and summing over x gives
 
   #{x : all q_e(x) != 0}
       = q^{-N'} sum_{t in F_q^N'} (q-1)^{z(t)} (-1)^{N'-z(t)} S(t),
 
 with z(t) the number of zero weights and S(t) = sum_x psi(sum_e t_e q_e(x)).
 Write y^j for the vector of the j-th coordinates of the free vertices and
-L(t) = sum_e t_e P_e for the vertex matrix with the pinned vertex dropped.
+L(t) = sum_e t_e r_e r_e^T (``matform.gram_matrix``) for the vertex matrix.
 Then sum_e t_e q_e(x) = (y^1)^T L(t) y^2 + (y^3)^T L(t) y^4.  Each term is
 bilinear, so in every characteristic its character sum is
 q^n * #ker L(t) = q^{2n - rank L(t)}, and S(t) = q^{4n - 2 rank L(t)}.  The
@@ -46,30 +48,17 @@ from .counting import (
 )
 from .errors import PreconditionUnmet
 from .fields import FqField
-from .graphs import Graph, delete, is_connected
-from .matform import PolyMatrix, _p_matrix_for_order, p_matrix
+from .graphs import Graph, delete, incidence, is_connected
+from .matform import PolyMatrix, gram_matrix, p_matrix
 from .multipoly import MLPoly, phi
 
 
-def _edge_quadrics(G: Graph):
-    """(s, t) vertex pairs per edge, with the pinned vertex mapped to None."""
-    pinned = G.vertex_count
-    out = []
-    for u, v in G.edges:
-        out.append((u if u != pinned else None, v if v != pinned else None))
-    return out
-
-
-def _quadric_poly(s, t) -> MLPoly:
-    """The edge quadric d^0 d^1 + d^2 d^3 for d = x_s - x_t, where coordinate
-    j of vertex v is the variable 4(v-1)+j+1 and the pinned vertex (None) is
-    0.  A self-loop's quadric is the zero polynomial."""
-
-    def coord(v, j):
-        return MLPoly.zero() if v is None else MLPoly.variable(4 * (v - 1) + j + 1)
-
-    d = [coord(s, j) - coord(t, j) for j in range(4)]
-    return d[0] * d[1] + d[2] * d[3]
+def _quadric_poly(row) -> MLPoly:
+    """The quadric y^0 y^1 + y^2 y^3 of y = sum_i c_i x_i over an incidence
+    row of (index i, coefficient c_i), where coordinate j of x_i is the
+    variable 4i+j+1.  An empty row (a self-loop) gives the zero polynomial."""
+    y = [MLPoly({(4 * i + j + 1,): c for i, c in row}) for j in range(4)]
+    return y[0] * y[1] + y[2] * y[3]
 
 
 def quadric_union_count(
@@ -83,15 +72,14 @@ def quadric_union_count(
     m = 4 * n
     _check_budget(F.q, m, budget)
     q = F.q
-    if any(u == v for u, v in G.edges):
-        # a self-loop's quadric is identically zero: the union is everything
+    rows = sorted(set(incidence(G)))  # edges with equal rows share a quadric
+    if () in rows:
+        # an empty row's quadric is identically zero: the union is everything
         return CountReport.from_raw(q**m, q, m)
-    # one edge per distinct endpoint pair: parallel edges share a quadric
-    H = Graph(tuple(dict.fromkeys(G.edges)), G.vertex_count)
-    N = H.edge_count
+    N = len(rows)
     _check_budget(q, N, budget)
-    L = _p_matrix_for_order(H, range(1, H.vertex_count))
-    hist = rank_histogram(L, F, H.labels, threads=threads)
+    labels = range(1, N + 1)
+    hist = rank_histogram(gram_matrix(rows, labels, n), F, labels, threads=threads)
     total = sum(
         c * (q - 1) ** z * (-1) ** (N - z) * q ** (m - 2 * r)
         for z, row in enumerate(hist)
@@ -114,7 +102,7 @@ def quadric_union_count_walk(
         raise PreconditionUnmet("position space needs at least one free vertex")
     m = 4 * n
     _check_budget(F.q, m, budget)
-    polys = [_quadric_poly(s, t) for s, t in _edge_quadrics(G)]
+    polys = [_quadric_poly(row) for row in incidence(G)]
     compiled = _compile(polys, F, {i: i - 1 for i in range(1, m + 1)})
     raw = _walk_zeros(compiled, F, m, any_zero=True, cone=True, threads=threads)
     return CountReport.from_raw(raw, F.q, m)
@@ -126,14 +114,14 @@ def quadric_union_count_direct(G: Graph, F: FqField, limit: int = 1 << 20) -> in
     m = 4 * n
     if F.q**m > limit:
         raise PreconditionUnmet("direct quadric oracle is for tiny inputs only")
-    pairs = _edge_quadrics(G)
+    pinned = G.vertex_count
     count = 0
     for point in itertools.product(F.elements(), repeat=m):
 
         def comp(v, j):
-            return 0 if v is None else point[4 * (v - 1) + j]
+            return 0 if v == pinned else point[4 * (v - 1) + j]
 
-        for s, t in pairs:
+        for s, t in G.edges:
             acc = 0
             for j in (0, 2):
                 d1 = F.sub(comp(s, j), comp(t, j))
@@ -150,9 +138,7 @@ def quadric_system_count(
 ) -> int:
     """Common zeros of the quadrics of ``edge_subset`` in F_q^{4n}."""
     subset = set(edge_subset)
-    polys = [
-        _quadric_poly(s, t) for lab, (s, t) in zip(G.labels, _edge_quadrics(G)) if lab in subset
-    ]
+    polys = [_quadric_poly(row) for lab, row in zip(G.labels, incidence(G)) if lab in subset]
     return count_zeros(polys, F, 4 * G.n, budget=budget, threads=threads).raw
 
 

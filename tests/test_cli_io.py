@@ -39,13 +39,13 @@ def test_graph_text_header():
 def test_poly_text_roundtrip():
     for G in (family("cycle", 3), family("complete", 4), family("Gn", 2)):
         for P in (psi(G), phi(G)):
-            assert io.poly_from_text(io.poly_to_text(P)) == P
+            assert io.poly_from_text(P.to_text()) == P
     assert io.poly_from_text("0") == MLPoly.zero()
 
 
 def test_poly_json_roundtrip():
     P = phi(family("complete", 4))
-    assert io.poly_from_json_terms(json.loads(json.dumps(io.poly_to_json_terms(P)))) == P
+    assert MLPoly.from_json_terms(json.loads(json.dumps(P.to_json_terms()))) == P
 
 
 def test_cli_poly_text(capsys):

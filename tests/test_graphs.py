@@ -22,6 +22,7 @@ from c2lab.graphs import (
     delete,
     family,
     girth_at_most,
+    incidence,
     is_connected,
     is_isomorphic,
     quotients,
@@ -32,6 +33,7 @@ from c2lab.graphs import (
     subquotient,
 )
 from c2lab.identities import IDENTITY_NAMES, default_identity_indices
+from c2lab.matform import gram_matrix, p_matrix
 
 
 def reduced_laplacian_tree_count(G):
@@ -130,6 +132,24 @@ def test_is_connected_cases():
     isolated = Graph(((1, 2), (1, 3), (2, 3)), 4)
     assert not is_connected(isolated)
     assert len(components(isolated)) == 2
+
+
+def test_incidence_rows():
+    # a self-loop, an edge to the pinned vertex 4, a parallel pair, a path
+    G = Graph(((2, 2), (1, 4), (1, 2), (2, 1), (2, 3), (3, 4)), 4)
+    rows = incidence(G)
+    assert rows[0] == ()
+    assert rows[1] == ((0, 1),)
+    assert rows[2] == rows[3] == ((0, 1), (1, -1))
+    assert rows[4] == ((1, 1), (2, -1))
+    assert rows[5] == ((2, 1),)
+    assert gram_matrix(rows, G.labels, G.n) == p_matrix(G)
+    # pinning vertex 2 instead: its entries go, the others are re-indexed
+    order = (1, 3, 4)
+    assert incidence(G, order) == (
+        (), ((0, 1), (2, -1)), ((0, 1),), ((0, 1),), ((1, -1),), ((1, 1), (2, -1))
+    )
+    assert gram_matrix(incidence(G, order), G.labels, 3) == p_matrix(G, 2)
 
 
 def test_spanning_trees_triangle():

@@ -28,7 +28,6 @@ from c2lab.invariants import (
     c2_dual_triangle,
     c2_param,
     c2_pos,
-    c2_pos_full_quotient,
     c2_verdict,
     lem36_closed_forms,
     s_t_sums,
@@ -112,7 +111,8 @@ def test_c2_pos_full_quotient_consistent():
     K4 = family("complete", 4)
     for q in (2, 3):
         F = make_field(q)
-        assert c2_pos_full_quotient(K4, F) % q == c2_pos(K4, F)
+        v = c2_verdict(K4, F, ("pos",))
+        assert v.c2_pos_quotient_mod_q3 % q == v.c2_pos == c2_pos(K4, F)
 
 
 def test_admissible_structural_planar_shortcut():
