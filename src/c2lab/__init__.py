@@ -2,10 +2,10 @@
 
 import os
 
-# ``--threads`` is c2lab's one parallelism knob.  The counting kernels'
-# matrix products are small, and OpenBLAS's own threads spin on them and
-# would oversubscribe ``--threads``, so BLAS runs on one thread unless the
-# caller says otherwise.  OpenBLAS reads this when numpy is first imported.
+# The counting kernels' float matrix products are small, so OpenBLAS's
+# helper threads would only spin on them, and starting them adds about 0.1 s
+# of CPU time to start-up.  So BLAS runs on one thread unless the caller says
+# otherwise.  OpenBLAS reads this when numpy is first imported.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .graphs import (
@@ -45,7 +45,6 @@ from .matform import diagonalize_wrt_tree, eval_rank, p_matrix
 from .multipoly import (
     DodgsonIndex,
     MLPoly,
-    coeff_and_rest,
     cremona,
     dodgson,
     dual_dodgson,
@@ -97,7 +96,6 @@ __all__ = [
     "subquotient",
     "DodgsonIndex",
     "MLPoly",
-    "coeff_and_rest",
     "cremona",
     "dodgson",
     "dual_dodgson",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 enumeration budget exceeded.  Counts that may exceed 53-bit precision are
-emitted as decimal strings; reports are byte-identical across thread counts.
+emitted as decimal strings.
 """
 
 from __future__ import annotations
@@ -96,11 +96,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.method == "reduced":
-        if args.torus:
-            raise BadParameter("--torus counts by brute force only; drop --method reduced")
-        if args.threads != 1:
-            raise BadParameter("--method reduced runs on one thread; drop --threads")
+    if args.method == "reduced" and args.torus:
+        raise BadParameter("--torus counts by brute force only; drop --method reduced")
     gid, G = _graph_from_args(args)
     P = psi(G) if args.which == "psi" else phi(G)
     fields = [make_field(q) for q in _q_list(args)]
@@ -108,9 +105,7 @@ def _cmd_count(args) -> int:
         reports = count_reduced_fields(P, fields, G.edge_count, budget=args.budget)
     else:
         count = count_zeros_torus if args.torus else count_zeros
-        reports = [
-            count([P], F, G.edge_count, budget=args.budget, threads=args.threads) for F in fields
-        ]
+        reports = [count([P], F, G.edge_count, budget=args.budget) for F in fields]
     results = [rep.to_json() for rep in reports]
     _emit(
         {
@@ -132,7 +127,7 @@ def _cmd_c2(args) -> int:
     results = []
     for q in _q_list(args):
         F = make_field(q)
-        v = c2_verdict(G, F, spaces, gid, budget=args.budget, threads=args.threads)
+        v = c2_verdict(G, F, spaces, gid, budget=args.budget)
         results.append(v.to_json())
     _emit(
         {"command": "c2", "graph": _graph_json(gid, G), "space": args.space, "results": results},
@@ -146,14 +141,12 @@ def _cmd_verify(args) -> int:
     results = []
     ok = True
     if args.theorem in FIELD_FREE_THEOREMS:
-        rep = verify(args.theorem, G, None, budget=args.budget, threads=args.threads)
+        rep = verify(args.theorem, G, None, budget=args.budget)
         results.append(rep.to_json())
         ok = ok and rep.passed
     else:
         for q in _q_list(args):
-            rep = verify(
-                args.theorem, G, make_field(q), budget=args.budget, threads=args.threads
-            )
+            rep = verify(args.theorem, G, make_field(q), budget=args.budget)
             results.append(rep.to_json())
             ok = ok and rep.passed
     _emit(
@@ -176,7 +169,7 @@ def _cmd_admissible(args) -> int:
         results.append(admissible_structural(G, budget=args.budget).to_json())
     else:
         for q in _q_list(args):
-            rep = admissible_at_q(G, make_field(q), budget=args.budget, threads=args.threads)
+            rep = admissible_at_q(G, make_field(q), budget=args.budget)
             results.append(rep.to_json())
     _emit(
         {
@@ -275,14 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         if counts:
             p.add_argument("--q", help="comma-separated prime powers, e.g. 2,3,5")
             p.add_argument(
-                "--threads",
-                type=int,
-                default=1,
-                help="parallel counting lanes, c2lab's only parallelism (BLAS runs on one "
-                "thread); on 2 cores a second one pays on position-space unions and costs on "
-                "parametric counts; count --method reduced takes none",
-            )
-            p.add_argument(
                 "--budget",
                 type=int,
                 default=DEFAULT_BUDGET,
@@ -348,8 +333,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise BadParameter(f"--threads must be at least 1, not {args.threads}")
         return args.fn(args)
     except BudgetExceeded as e:
         _emit({"command": args.command, "error": {"code": e.code, "message": str(e)}}, None)

@@ -47,11 +47,6 @@ def named_graphs() -> dict[str, Graph]:
     return out
 
 
-def log_divergent_graphs() -> dict[str, Graph]:
-    """Connected members with N = 2h (the c2 theorems' hypothesis)."""
-    return {k: g for k, g in named_graphs().items() if g.is_log_divergent()}
-
-
 def nonplanar_log_divergent() -> Graph:
     """K_{3,3} with one doubled edge: log-divergent, non-planar, girth 2.
 

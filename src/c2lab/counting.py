@@ -5,9 +5,7 @@ never computed by wraparound.  One lattice walker, ``_walk``, enumerates
 the points in blocks for every brute-force count, parametric here and
 position-space in ``quadrics`` (quadric systems, and the edge weights of
 the quadric union), and sums a tally per block: the zeros of polynomials,
-or a joint histogram of zero coordinates and matrix ranks.  Parallel runs
-split the outer assignments into ordered chunks, so totals are
-independent of the schedule.
+or a joint histogram of zero coordinates and matrix ranks.
 
 A walk of F_q^m fixes the first m - b coordinates (the outer assignment)
 and takes the last b as an inner block of at most 2^16 points.  Every
@@ -259,7 +257,7 @@ class _Bilinear:
             yield vals.ravel()
 
 
-def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False, threads: int = 1):
+def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False):
     """Sum of ``tally(outer)`` over the blocks of F_q^m (of the torus, with
     ``torus``).
 
@@ -292,22 +290,7 @@ def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False,
         )
     else:
         weighted = zip(itertools.product(ints, repeat=n_outer), itertools.repeat(1))
-
-    def run(chunk):
-        total = 0
-        for outer, weight in chunk:
-            total += weight * tally(outer)
-        return total
-
-    if threads <= 1 or n_outer == 0:  # a single block has nothing to split
-        return run(weighted)
-    from concurrent.futures import ThreadPoolExecutor
-
-    outer_list = list(weighted)
-    size = max(1, (len(outer_list) + threads - 1) // threads)
-    chunks = [outer_list[i : i + size] for i in range(0, len(outer_list), size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(run, chunks))
+    return sum(weight * tally(outer) for outer, weight in weighted)
 
 
 def _walk_zeros(
@@ -318,7 +301,6 @@ def _walk_zeros(
     any_zero: bool = False,
     torus: bool = False,
     cone: bool = False,
-    threads: int = 1,
 ) -> int:
     """Points of F_q^m (or the torus) where every polynomial of a compiled
     system (see ``_compile``) vanishes (or, with ``any_zero``, at least one
@@ -336,7 +318,7 @@ def _walk_zeros(
                 break
         return int(mask.sum())
 
-    return _walk(tally, F, m, torus=torus, cone=cone, threads=threads)
+    return _walk(tally, F, m, torus=torus, cone=cone)
 
 
 def _degrees(P: MLPoly, p: int) -> set:
@@ -344,7 +326,7 @@ def _degrees(P: MLPoly, p: int) -> set:
     return {len(mono) for mono, c in P.terms() if c % p}
 
 
-def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> list[list[int]]:
+def rank_histogram(M: PolyMatrix, F: FqField, labels) -> list[list[int]]:
     """Entry [z][r] counts the points of F_q^labels with z zero coordinates
     where M has rank r; every variable of M must be among ``labels``.  The
     entries are Python ints, so weighted sums of them cannot wrap.
@@ -365,7 +347,7 @@ def rank_histogram(M: PolyMatrix, F: FqField, labels, *, threads: int = 1) -> li
         zeros = sum(x == 0 for x in outer) + inner_zeros
         return np.bincount(zeros * (d + 1) + block_rank(M, point, F), minlength=(N + 1) * (d + 1))
 
-    return _walk(tally, F, N, cone=cone, threads=threads).reshape(N + 1, d + 1).tolist()
+    return _walk(tally, F, N, cone=cone).reshape(N + 1, d + 1).tolist()
 
 
 def _nonconstant(polys, F: FqField, n_vars: int):
@@ -386,7 +368,7 @@ def _nonconstant(polys, F: FqField, n_vars: int):
     return kept, used
 
 
-def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: int = 1) -> int:
+def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool) -> int:
     """Exact number of common zeros in affine space (or the torus).  When
     every polynomial is homogeneous mod p its zeros form a cone, walked
     one line at a time."""
@@ -397,25 +379,21 @@ def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool, threads: in
     q, m = F.q, len(used)
     cone = all(len(_degrees(P, F.p)) == 1 for P in polys)
     compiled = _compile(polys, F, {v: i for i, v in enumerate(used)})
-    raw = _walk_zeros(compiled, F, m, torus=torus, cone=cone, threads=threads)
+    raw = _walk_zeros(compiled, F, m, torus=torus, cone=cone)
     return raw * (q - 1 if torus else q) ** (n_vars - m)
 
 
-def count_zeros(
-    polys, F: FqField, n_vars: int, *, budget: int | None = None, threads: int = 1
-) -> CountReport:
+def count_zeros(polys, F: FqField, n_vars: int, *, budget: int | None = None) -> CountReport:
     """Common zeros of the system in affine space F_q^{n_vars}."""
     _check_budget(F.q, n_vars, budget)
-    raw = _count_common_zeros(list(polys), F, n_vars, torus=False, threads=threads)
+    raw = _count_common_zeros(list(polys), F, n_vars, torus=False)
     return CountReport.from_raw(raw, F.q, n_vars)
 
 
-def count_zeros_torus(
-    polys, F: FqField, n_vars: int, *, budget: int | None = None, threads: int = 1
-) -> CountReport:
+def count_zeros_torus(polys, F: FqField, n_vars: int, *, budget: int | None = None) -> CountReport:
     """Common zeros with every coordinate nonzero."""
     _check_budget(F.q, n_vars, budget)
-    raw = _count_common_zeros(list(polys), F, n_vars, torus=True, threads=threads)
+    raw = _count_common_zeros(list(polys), F, n_vars, torus=True)
     return CountReport.from_raw(raw, F.q, n_vars)
 
 
@@ -586,7 +564,6 @@ def sing_count(
     method: str = "jacobian",
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> CountReport:
     """Points of Sing(Z_G): phi and all its partials vanish.
 
@@ -599,13 +576,13 @@ def sing_count(
     f = phi(G)
     if method == "jacobian":
         polys = [f] + [f.coeff_and_rest(k)[0] for k in sorted(G.labels)]
-        return count_zeros(polys, F, N, budget=budget, threads=threads)
+        return count_zeros(polys, F, N, budget=budget)
     if method == "jacobian_tree":
         T = sorted(spanning_trees(G), key=lambda t: sorted(t))[0]
         polys = [f] + [f.coeff_and_rest(k)[0] for k in sorted(T)]
-        return count_zeros(polys, F, N, budget=budget, threads=threads)
+        return count_zeros(polys, F, N, budget=budget)
     if method == "rank":
-        hist = rank_histogram(p_matrix(G), F, sorted(G.labels), threads=threads)
+        hist = rank_histogram(p_matrix(G), F, sorted(G.labels))
         raw = sum(c for row in hist for r, c in enumerate(row) if r < G.n - 1)
         return CountReport.from_raw(raw, F.q, N)
     raise PreconditionUnmet(f"unknown sing_count method {method!r}")

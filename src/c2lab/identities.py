@@ -234,7 +234,8 @@ _RESULTANT_VARIANTS = {
 
 
 def resultant_lemma_variants(G: Graph, i: int, j: int, k: int) -> dict:
-    """Which corrections of the resultant lemma hold on G at (i, j, k).
+    """The resultant-lemma typo check: which corrections of the printed
+    lemma (see ``_RESULTANT_VARIANTS``) hold on G at (i, j, k).
 
     Returns variant name -> sign pair or None, testing
     [phi^i, phi^j]_k = s1 * phi^{A1} phi^{B1} + s2 * phi^{A2} phi^{B2}.

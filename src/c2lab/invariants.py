@@ -60,17 +60,17 @@ def _quotient(report: CountReport, what: str) -> int:
     return report.quotient_c2
 
 
-def c2_param(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
+def c2_param(G: Graph, F: FqField, *, budget=None) -> int:
     """c2(G)_q = [Psi_G]_q / q^2 mod q."""
     _require(G.n >= 2, "c2 in parametric space needs n_G >= 2")
-    rep = count_zeros([psi(G)], F, G.edge_count, budget=budget, threads=threads)
+    rep = count_zeros([psi(G)], F, G.edge_count, budget=budget)
     return _quotient(rep, "Psi_G")
 
 
-def c2_dual(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
+def c2_dual(G: Graph, F: FqField, *, budget=None) -> int:
     """c2^dual(G)_q = [phi_G]_q / q^2 mod q."""
     _require(G.h >= 2, "c2 in dual parametric space needs h_G >= 2")
-    rep = count_zeros([phi(G)], F, G.edge_count, budget=budget, threads=threads)
+    rep = count_zeros([phi(G)], F, G.edge_count, budget=budget)
     return _quotient(rep, "phi_G")
 
 
@@ -87,7 +87,7 @@ def _check_triangle(G: Graph, triangle) -> tuple[int, int, int]:
     return t[0], t[1], t[2]
 
 
-def c2_dual_triangle(G: Graph, triangle, F: FqField, *, budget=None, threads: int = 1) -> int:
+def c2_dual_triangle(G: Graph, triangle, F: FqField, *, budget=None) -> int:
     """c2^dual via the triangle reduction [phi^{1,2}_3, phi^{13,23}] mod q."""
     _require(G.h >= 3, "the triangle reduction needs h_G >= 3")
     t1, t2, t3 = _check_triangle(G, triangle)
@@ -95,21 +95,21 @@ def c2_dual_triangle(G: Graph, triangle, F: FqField, *, budget=None, threads: in
         phi_dodgson_pair(G, {t1}, {t2}, {t3}),
         phi_dodgson_pair(G, {t1, t3}, {t2, t3}),
     ]
-    rep = count_zeros(pair, F, G.edge_count - 3, budget=budget, threads=threads)
+    rep = count_zeros(pair, F, G.edge_count - 3, budget=budget)
     return rep.raw % F.q
 
 
-def _pos_quotients(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> tuple[int, int]:
+def _pos_quotients(G: Graph, F: FqField, *, budget=None) -> tuple[int, int]:
     """[q_1...q_N]_q / q^2 mod q and mod q^3, once q^2 divides it and the preconditions hold."""
     _require(G.n >= 1, "position space needs at least one free vertex")
     _require(G.edge_count <= 2 * G.n and G.n >= 2, "position space needs N_G <= 2 n_G, n_G >= 2")
-    rep = quadric_union_count(G, F, budget=budget, threads=threads)
+    rep = quadric_union_count(G, F, budget=budget)
     return _quotient(rep, "q_1...q_N"), (rep.raw // F.q**2) % F.q**3
 
 
-def c2_pos(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> int:
+def c2_pos(G: Graph, F: FqField, *, budget=None) -> int:
     """c2^pos(G)_q = [q_1...q_N]_q / q^2 mod q."""
-    return _pos_quotients(G, F, budget=budget, threads=threads)[0]
+    return _pos_quotients(G, F, budget=budget)[0]
 
 
 # -- duality admissibility ----------------------------------------------------
@@ -209,7 +209,7 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     )
 
 
-def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> AdmissibilityReport:
+def admissible_at_q(G: Graph, F: FqField, *, budget=None) -> AdmissibilityReport:
     """Check the defining congruences [phi^J_I] = 0 mod q^3 at one q.
 
     Scans disjoint pairs with |J| > |I|, |I| <= n_G - 3, cheapest first.
@@ -248,9 +248,7 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> A
                 form = canonical_form(gamma)
                 raw = class_counts.get(form)
                 if raw is None:
-                    raw = count_zeros(
-                        [phi(gamma)], F, gamma.edge_count, budget=budget, threads=threads
-                    ).raw
+                    raw = count_zeros([phi(gamma)], F, gamma.edge_count, budget=budget).raw
                     class_counts[form] = raw
                 key_counts[key] = raw
             if raw % q**3 != 0:
@@ -268,7 +266,7 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None, threads: int = 1) -> A
     )
 
 
-def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None, threads: int = 1) -> tuple[int, int]:
+def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None) -> tuple[int, int]:
     """The torus sums S_t of Psi^I_J = Psi(G\\I//J) and of phi^I_J =
     phi(G\\J//I) over all |I| = |J| = t, which Cremona invariance of the
     proof's S_t elements makes equal.  The pair set is symmetric under
@@ -301,7 +299,7 @@ def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None, threads: int = 1) -> 
 
     def total(poly) -> int:
         return degenerate * (F.q - 1) ** amb + sum(
-            k * count_zeros_torus([poly(gamma)], F, amb, budget=budget, threads=threads).raw
+            k * count_zeros_torus([poly(gamma)], F, amb, budget=budget).raw
             for gamma, k in classes.values()
         )
 
@@ -339,7 +337,7 @@ def _jsonable(v):
     return str(v)
 
 
-def verify(theorem: str, G: Graph, F: FqField | None = None, *, budget=None, threads: int = 1) -> VerifyReport:
+def verify(theorem: str, G: Graph, F: FqField | None = None, *, budget=None) -> VerifyReport:
     """Recompute both sides of a named statement and report the comparison."""
     fn = _THEOREMS.get(theorem)
     if fn is None:
@@ -347,62 +345,62 @@ def verify(theorem: str, G: Graph, F: FqField | None = None, *, budget=None, thr
             f"unknown theorem {theorem!r}; known: {sorted(_THEOREMS)}"
         )
     _require(F is not None or theorem in FIELD_FREE_THEOREMS, "this verification needs a field")
-    return fn(G, F, budget=budget, threads=threads)
+    return fn(G, F, budget=budget)
 
 
-def _v_thm2(G, F, *, budget, threads):
+def _v_thm2(G, F, *, budget):
     _require(G.is_log_divergent(), "Thm2 is about log-divergent graphs")
     _require(G.h >= 2 and G.n >= 2, "Thm2 needs h_G, n_G >= 2")
-    a = c2_param(G, F, budget=budget, threads=threads)
-    b = c2_dual(G, F, budget=budget, threads=threads)
+    a = c2_param(G, F, budget=budget)
+    b = c2_dual(G, F, budget=budget)
     return VerifyReport("Thm2", a == b, F.q, {"c2_param": a, "c2_dual": b})
 
 
-def _v_sec3(G, F, *, budget, threads):
+def _v_sec3(G, F, *, budget):
     _require(G.n >= 3, "the position-space theorem needs n_G >= 3")
     N, n = G.edge_count, G.n
     if N < 2 * n:
-        a = c2_pos(G, F, budget=budget, threads=threads)
+        a = c2_pos(G, F, budget=budget)
         return VerifyReport("Sec3Thm", a == 0, F.q, {"case": "N < 2n", "c2_pos": a})
     _require(N == 2 * n, "needs N_G <= 2 n_G")
-    a = c2_pos(G, F, budget=budget, threads=threads)
-    b = c2_dual(G, F, budget=budget, threads=threads)
+    a = c2_pos(G, F, budget=budget)
+    b = c2_dual(G, F, budget=budget)
     return VerifyReport(
         "Sec3Thm", a == b, F.q, {"case": "N = 2n", "c2_pos": a, "c2_dual": b}
     )
 
 
-def _v_thm20(G, F, *, budget, threads):
+def _v_thm20(G, F, *, budget):
     _require(G.h >= 2, "thm20 needs at least two loops")
-    rep = sing_count(G, F, "jacobian", budget=budget, threads=threads)
+    rep = sing_count(G, F, "jacobian", budget=budget)
     return VerifyReport(
         "thm20", rep.raw % F.q == 0, F.q, {"sing_count": rep.raw, "mod_q": rep.mod_q}
     )
 
 
-def _v_prop1(G, F, *, budget, threads):
+def _v_prop1(G, F, *, budget):
     _require(G.h >= 2, "Prop1 needs at least two loops")
-    rep = count_zeros([phi(G)], F, G.edge_count, budget=budget, threads=threads)
+    rep = count_zeros([phi(G)], F, G.edge_count, budget=budget)
     return VerifyReport(
         "Prop1", rep.raw % F.q**2 == 0, F.q, {"phi_count": rep.raw, "mod_q2": rep.mod_q2}
     )
 
 
-def _v_c216(G, F, *, budget, threads):
-    lhs = quadric_union_count(G, F, budget=budget, threads=threads).raw % F.q**3
+def _v_c216(G, F, *, budget):
+    lhs = quadric_union_count(G, F, budget=budget).raw % F.q**3
     rhs = quadric_congruence_rhs(G, F, budget=budget)
     return VerifyReport("c216", lhs == rhs, F.q, {"lhs_mod_q3": lhs, "rhs_mod_q3": rhs})
 
 
-def _v_c220(G, F, *, budget, threads):
+def _v_c220(G, F, *, budget):
     _require(G.edge_count <= 2 * G.n and G.n >= 2, "c220 needs N <= 2n, n >= 2")
-    rep = quadric_union_count(G, F, budget=budget, threads=threads)
+    rep = quadric_union_count(G, F, budget=budget)
     return VerifyReport(
         "c220", rep.raw % F.q**2 == 0, F.q, {"raw": rep.raw, "mod_q2": rep.mod_q2}
     )
 
 
-def _v_prop34(G, F, *, budget, threads):
+def _v_prop34(G, F, *, budget):
     trees = spanning_tree_count(G)
     details = {"spanning_trees": trees}
     ok = True
@@ -419,7 +417,7 @@ def _v_prop34(G, F, *, budget, threads):
     return VerifyReport("prop34", ok, None, details)
 
 
-def _v_cor35(G, F, *, budget, threads):
+def _v_cor35(G, F, *, budget):
     _require(G.is_log_divergent(), "cor35 is about log-divergent graphs")
     details = {}
     ok = True
@@ -454,7 +452,7 @@ def lem36_closed_forms(n: int) -> tuple[int, int]:
     return r12, r21
 
 
-def _v_lem36(G, F, *, budget, threads):
+def _v_lem36(G, F, *, budget):
     n = G.n
     _require(is_isomorphic(G, family("Gn", n)), "lem36 is about the G_n family")
     r12, _ = census(G, 1, 2, budget=budget)
@@ -468,12 +466,12 @@ def _v_lem36(G, F, *, budget, threads):
     )
 
 
-def _v_p4(G, F, *, budget, threads):
+def _v_p4(G, F, *, budget):
     _require(G.h >= 3, "p4 needs h_G >= 3")
     tri = _find_triangle(G)
     _require(tri is not None, "p4 needs a triangle")
-    a = c2_dual_triangle(G, tri, F, budget=budget, threads=threads)
-    b = c2_dual(G, F, budget=budget, threads=threads)
+    a = c2_dual_triangle(G, tri, F, budget=budget)
+    b = c2_dual(G, F, budget=budget)
     return VerifyReport("p4", a == b, F.q, {"triangle": sorted(tri), "reduced": a, "c2_dual": b})
 
 
@@ -549,7 +547,6 @@ def c2_verdict(
     graph_id: str = "",
     *,
     budget=None,
-    threads: int = 1,
 ) -> C2Verdict:
     """Compute the requested c2 residues, recording why any is undefined.
 
@@ -558,13 +555,12 @@ def c2_verdict(
     records that as its reason and keeps the other legs' values.
     """
     v = C2Verdict(graph_id=graph_id, q=F.q)
-    kw = {"budget": budget, "threads": threads}
     if "param" in spaces:
-        v.c2_param, v.c2_param_reason = _leg(c2_param, G, F, **kw)
+        v.c2_param, v.c2_param_reason = _leg(c2_param, G, F, budget=budget)
     if "dual" in spaces:
-        v.c2_dual, v.c2_dual_reason = _leg(c2_dual, G, F, **kw)
+        v.c2_dual, v.c2_dual_reason = _leg(c2_dual, G, F, budget=budget)
     if "pos" in spaces:
-        quotients, v.c2_pos_reason = _leg(_pos_quotients, G, F, **kw)
+        quotients, v.c2_pos_reason = _leg(_pos_quotients, G, F, budget=budget)
         if quotients is not None:
             v.c2_pos, v.c2_pos_quotient_mod_q3 = quotients
     return v

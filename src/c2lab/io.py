@@ -69,6 +69,7 @@ def load_graph(path: str) -> Graph:
 
 
 def poly_from_text(text: str) -> MLPoly:
+    """The inverse of ``MLPoly.to_text``."""
     text = text.strip()
     if text == "0":
         return MLPoly.zero()

@@ -253,7 +253,9 @@ def diagonalize_wrt_tree(G: Graph, T) -> TreeDiagonalization:
 
 
 def tree_occurrence_contract(diag: TreeDiagonalization) -> bool:
-    """Full-matrix check: each tree variable sits in exactly one diagonal entry."""
+    """Check of the diagonalization statement on the full matrix: after the
+    ops, the i-th tree variable of ``tree_order`` occurs in exactly one
+    entry, the diagonal entry (i, i), with coefficient 1."""
     for i, lab in enumerate(diag.tree_order):
         occ = diag.matrix.variable_occurrences(lab)
         if occ != [(i + 1, i + 1)]:
@@ -265,7 +267,9 @@ def tree_occurrence_contract(diag: TreeDiagonalization) -> bool:
 
 
 def tree_occurrence_contract_mod_nontree(diag: TreeDiagonalization, G: Graph) -> bool:
-    """Same contract after killing all non-tree variables (weaker form)."""
+    """Check of the statement's weaker form: with every non-tree variable set
+    to 0, the i-th tree variable of ``tree_order`` occurs in no entry but
+    (i, i)."""
     nontree = G.label_set - set(diag.tree_order)
     for i, lab in enumerate(diag.tree_order):
         for r in range(diag.matrix.dim):

@@ -214,10 +214,6 @@ def cremona(P: MLPoly, ambient) -> MLPoly:
     return MLPoly({tuple(sorted(ambient - set(m))): c for m, c in P.terms()})
 
 
-def coeff_and_rest(P: MLPoly, k: int) -> tuple[MLPoly, MLPoly]:
-    return P.coeff_and_rest(k)
-
-
 def resultant(f: MLPoly, g: MLPoly, k: int) -> MLPoly:
     """[f, g]_k = f^k g_k - f_k g^k for f, g linear in a_k."""
     fk, f_k = f.coeff_and_rest(k)

@@ -61,9 +61,7 @@ def _quadric_poly(row) -> MLPoly:
     return y[0] * y[1] + y[2] * y[3]
 
 
-def quadric_union_count(
-    G: Graph, F: FqField, *, budget: int | None = None, threads: int = 1
-) -> CountReport:
+def quadric_union_count(G: Graph, F: FqField, *, budget: int | None = None) -> CountReport:
     """Points of F_q^{4n} where q_1 * ... * q_N vanishes, by the character
     sum over edge weights of the module docstring."""
     n = G.n
@@ -79,7 +77,7 @@ def quadric_union_count(
     N = len(rows)
     _check_budget(q, N, budget)
     labels = range(1, N + 1)
-    hist = rank_histogram(gram_matrix(rows, labels, n), F, labels, threads=threads)
+    hist = rank_histogram(gram_matrix(rows, labels, n), F, labels)
     total = sum(
         c * (q - 1) ** z * (-1) ** (N - z) * q ** (m - 2 * r)
         for z, row in enumerate(hist)
@@ -90,9 +88,7 @@ def quadric_union_count(
     return CountReport.from_raw(q**m - nonzero, q, m)
 
 
-def quadric_union_count_walk(
-    G: Graph, F: FqField, *, budget: int | None = None, threads: int = 1
-) -> CountReport:
+def quadric_union_count_walk(G: Graph, F: FqField, *, budget: int | None = None) -> CountReport:
     """Test oracle: the union walked on the 4n-lattice, coordinate i at
     lattice index i - 1 (a self-loop's zero quadric covers every point).
     The quadrics are homogeneous, so their union is a cone, walked one line
@@ -104,7 +100,7 @@ def quadric_union_count_walk(
     _check_budget(F.q, m, budget)
     polys = [_quadric_poly(row) for row in incidence(G)]
     compiled = _compile(polys, F, {i: i - 1 for i in range(1, m + 1)})
-    raw = _walk_zeros(compiled, F, m, any_zero=True, cone=True, threads=threads)
+    raw = _walk_zeros(compiled, F, m, any_zero=True, cone=True)
     return CountReport.from_raw(raw, F.q, m)
 
 
@@ -133,13 +129,11 @@ def quadric_union_count_direct(G: Graph, F: FqField, limit: int = 1 << 20) -> in
     return count
 
 
-def quadric_system_count(
-    G: Graph, F: FqField, edge_subset, *, budget: int | None = None, threads: int = 1
-) -> int:
+def quadric_system_count(G: Graph, F: FqField, edge_subset, *, budget: int | None = None) -> int:
     """Common zeros of the quadrics of ``edge_subset`` in F_q^{4n}."""
     subset = set(edge_subset)
     polys = [_quadric_poly(row) for lab, row in zip(G.labels, incidence(G)) if lab in subset]
-    return count_zeros(polys, F, 4 * G.n, budget=budget, threads=threads).raw
+    return count_zeros(polys, F, 4 * G.n, budget=budget).raw
 
 
 def restricted_matrix_rank_sums(G: Graph, F: FqField, edge_subset):

@@ -1,6 +1,6 @@
 import pytest
 
-from c2lab.corpus import log_divergent_graphs, named_graphs
+from c2lab.corpus import named_graphs
 from c2lab.fields import make_field
 from c2lab.graphs import connected_multigraphs
 
@@ -12,7 +12,8 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def log_divergent():
-    return log_divergent_graphs()
+    # connected members with N = 2h, the c2 theorems' hypothesis
+    return {k: g for k, g in named_graphs().items() if g.is_log_divergent()}
 
 
 @pytest.fixture(scope="session")

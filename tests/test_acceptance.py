@@ -11,12 +11,15 @@ r^{2,1}(G) = r^{1,2}(G_dual) that relates them.
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from c2lab.cli import main as cli_main
+import c2lab
 from c2lab.corpus import named_graphs
 from c2lab.counting import (
     count_reduced,
@@ -374,21 +377,33 @@ def test_criterion_9_triangle_shortcut():
     report(9, True, f"shortcut on {checked}, {cw_checked} CW pairs, {elapsed:.1f}s")
 
 
-def test_criterion_10_cli_determinism(tmp_path):
-    """Byte-identical JSON reports across 1-thread and 8-thread runs."""
+_CLI_JOBS = """
+import json, sys
+from c2lab.cli import main
+for job in json.loads(sys.argv[1]):
+    print("exit", main(job))
+"""
+
+
+def test_criterion_10_cli_determinism():
+    """Byte-identical stdout of the same commands in two fresh interpreters
+    whose hash seeds, and so whose set and frozenset orders, differ."""
     jobs = [
         ["c2", "--family", "complete:4", "--space", "all", "--q", "2,3"],
         ["count", "--family", "wheel:4", "--q", "2,3,5", "--which", "phi"],
         ["verify", "--theorem", "c216", "--family", "Gn:3", "--q", "2,3"],
         ["admissible", "--family", "complete:4", "--mode", "at-q", "--q", "2"],
     ]
-    ok = True
-    for i, job in enumerate(jobs):
-        p1 = tmp_path / f"{i}_t1.json"
-        p8 = tmp_path / f"{i}_t8.json"
-        assert cli_main(job + ["--threads", "1", "--out", str(p1)]) == 0
-        assert cli_main(job + ["--threads", "8", "--out", str(p8)]) == 0
-        same = p1.read_bytes() == p8.read_bytes()
-        ok = ok and same
-        assert same, job
-    report(10, ok, f"{len(jobs)} commands byte-identical")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(c2lab.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_JOBS, json.dumps(jobs)], env=env, capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b"exit 0\n") == len(jobs), proc.stdout
+        outs.append(proc.stdout)
+    ok = outs[0] == outs[1]
+    report(10, ok, f"stdout of {len(jobs)} commands at hash seeds 0 and 1")
+    assert ok

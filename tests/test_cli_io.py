@@ -153,15 +153,6 @@ def test_cli_count_torus_rejects_reduced_method(capsys):
     assert json.loads(out)["error"]["code"] == "BadParameter"
 
 
-def test_cli_count_reduced_rejects_threads(capsys):
-    # the elimination runs on one thread, so a second one would be ignored
-    argv = ["count", "--family", "wheel:3", "--q", "2", "--method", "reduced"]
-    assert run_cli(capsys, *argv, "--threads", "1")[0] == 0
-    code, out = run_cli(capsys, *argv, "--threads", "2")
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "BadParameter"
-
-
 def test_cli_count_reduced_budget_applies_to_each_field(capsys):
     # psi(wheel:4)'s fallbacks enumerate 280 points at q = 2 and 2097 at q = 3
     argv = ["count", "--family", "wheel:4", "--method", "reduced", "--budget", "1000"]
@@ -185,18 +176,28 @@ def test_cli_count_rejects_unsupported_q_before_counting(capsys, method):
         assert json.loads(out)["error"]["code"] == "UnsupportedQ"
 
 
+_COUNTING = [
+    ["count", "--family", "wheel:3", "--q", "2"],
+    ["c2", "--family", "wheel:3", "--q", "2"],
+    ["verify", "--theorem", "Thm2", "--family", "wheel:3", "--q", "2"],
+    ["admissible", "--family", "wheel:3"],
+]
+_NON_COUNTING = [
+    ["poly", "--family", "cycle:3"],
+    ["census", "--family", "wheel:3", "--u", "1", "--v", "0"],
+    ["diag", "--family", "complete:4"],
+    ["family", "--family", "cycle:3"],
+    ["seed-corpus", "--out-dir", "corpus"],
+]
+
+
+# every count runs in one thread, so no command takes --threads
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["poly", "--family", "cycle:3"],
-        ["census", "--family", "wheel:3", "--u", "1", "--v", "0"],
-        ["diag", "--family", "complete:4"],
-        ["family", "--family", "cycle:3"],
-        ["seed-corpus", "--out-dir", "corpus"],
-    ],
-    ids=lambda argv: argv[0],
+    "flag, argv",
+    [("--threads", argv) for argv in _COUNTING + _NON_COUNTING]
+    + [("--budget", argv) for argv in _NON_COUNTING],
+    ids=lambda v: v if isinstance(v, str) else v[0],
 )
-@pytest.mark.parametrize("flag", ["--threads", "--budget"])
 def test_cli_counting_flags_only_on_counting_commands(capsys, tmp_path, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv)[0] == 0
@@ -229,8 +230,6 @@ def test_cli_usage_errors(capsys, tmp_path):
         ("diag", "--family", "complete:4", "--tree", "1,x"),
         ("family", "--family", "wheel3"),
         ("c2", "--family", "wheel:3", "--q", "2,x"),
-        ("count", "--family", "wheel:3", "--q", "2", "--threads", "0"),
-        ("count", "--family", "wheel:3", "--q", "2", "--threads", "-3"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -256,11 +255,13 @@ def test_cli_at_q_budget_exit_code(capsys):
 
 
 def test_cli_thread_determinism(capsys, tmp_path):
+    # every count runs in one thread; a second run of the same job in the
+    # same process, with whatever the first left cached, writes the same bytes
     args = ["c2", "--family", "complete:4", "--space", "all", "--q", "2,3"]
-    p1, p8 = tmp_path / "t1.json", tmp_path / "t8.json"
-    assert main(args + ["--threads", "1", "--out", str(p1)]) == 0
-    assert main(args + ["--threads", "8", "--out", str(p8)]) == 0
-    assert p1.read_bytes() == p8.read_bytes()
+    p1, p2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    assert main(args + ["--out", str(p1)]) == 0
+    assert main(args + ["--out", str(p2)]) == 0
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_cli_seed_corpus(tmp_path, capsys):
@@ -341,7 +342,7 @@ for argv in (
             code = main(argv)
     steps.append([argv[0], code, "dual" in out.getvalue()])
     loaded.append("networkx" in sys.modules)
-print(json.dumps([steps, loaded]))
+print(json.dumps([steps, loaded, "concurrent.futures" in sys.modules]))
 """
 
 
@@ -351,7 +352,7 @@ def test_networkx_loads_only_for_planar_dual(tmp_path):
     out = subprocess.run([sys.executable, "-c", _GUARD, str(tmp_path)], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    steps, loaded = json.loads(out.stdout)
+    steps, loaded, pooled = json.loads(out.stdout)
     assert [s[:2] for s in steps] == [
         ["import"], ["count", 0], ["c2", 0], ["verify", 0], ["admissible", 0],
         ["admissible", 0], ["census", 0], ["dual", "NotPlanar"], ["family", 0],
@@ -360,3 +361,4 @@ def test_networkx_loads_only_for_planar_dual(tmp_path):
     # embedding of a planar dual loads it
     assert loaded == [False] * 8 + [True]
     assert steps[-1][2]
+    assert not pooled  # every count runs in one thread

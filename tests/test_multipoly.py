@@ -10,7 +10,6 @@ from c2lab.matform import det_bareiss
 from c2lab.multipoly import (
     DodgsonIndex,
     MLPoly,
-    coeff_and_rest,
     cremona,
     dodgson,
     dual_dodgson,
@@ -91,10 +90,10 @@ def test_cremona_involution_and_constant():
 
 def test_coeff_and_rest_examples():
     tri = family("cycle", 3)
-    hi, lo = coeff_and_rest(phi(tri), 1)
+    hi, lo = phi(tri).coeff_and_rest(1)
     assert hi == a(2) + a(3)
     assert lo == a(2) * a(3)
-    hi, lo = coeff_and_rest(psi(family("banana", 3)), 1)
+    hi, lo = psi(family("banana", 3)).coeff_and_rest(1)
     assert hi == a(2) + a(3)
     assert lo == a(2) * a(3)
 
@@ -102,7 +101,7 @@ def test_coeff_and_rest_examples():
 def test_coeff_and_rest_contraction_deletion_k4():
     K4 = family("complete", 4)
     for k in sorted(K4.labels):
-        hi, lo = coeff_and_rest(phi(K4), k)
+        hi, lo = phi(K4).coeff_and_rest(k)
         assert hi == phi(contract(K4, {k}))
         assert lo == phi(delete(K4, {k}))
 
@@ -176,7 +175,7 @@ def test_dual_dodgson_identities():
     # a shared paired index degenerates to coefficient extraction:
     # phi^{i,i} = phi^i = phi(G//i)
     for i in sorted(K4.labels):
-        assert phi_dodgson_pair(K4, {i}, {i}) == coeff_and_rest(phi(K4), i)[0]
+        assert phi_dodgson_pair(K4, {i}, {i}) == phi(K4).coeff_and_rest(i)[0]
         assert phi_dodgson_pair(K4, {i}, {i}) == phi(contract(K4, {i}))
     # phi^{1,2}_3 = iota(Psi^{13,23}) on the remaining variables
     inner = dodgson(K4, DodgsonIndex(frozenset({1, 3}), frozenset({2, 3})))
@@ -214,9 +213,9 @@ def test_resultant_basics():
 def test_resultant_formula_k4():
     K4 = family("complete", 4)
     f = phi(K4)
-    fi = coeff_and_rest(f, 2)[0]
-    f1, f_1 = coeff_and_rest(f, 1)
-    fi1, fi_1 = coeff_and_rest(fi, 1)
+    fi = f.coeff_and_rest(2)[0]
+    f1, f_1 = f.coeff_and_rest(1)
+    fi1, fi_1 = fi.coeff_and_rest(1)
     assert resultant(f, fi, 1) == f1 * fi_1 - f_1 * fi1
 
 

@@ -81,29 +81,6 @@ def test_self_loop_fills_space():
     assert quadric_union_count_walk(g, F3).raw == 3**4
 
 
-def test_threads_deterministic():
-    K4 = family("complete", 4)
-    F2 = make_field(2)
-    assert (
-        quadric_union_count_walk(K4, F2, threads=1).raw
-        == quadric_union_count_walk(K4, F2, threads=8).raw
-    )
-    F3 = make_field(3)  # 9 outer assignments
-    assert (
-        quadric_union_count_walk(K4, F3, threads=1).raw
-        == quadric_union_count_walk(K4, F3, threads=8).raw
-    )
-
-
-def test_threads_deterministic_over_edge_weights():
-    # 7^6 weights: 7 blocks of 7^5, so the weights are split across threads
-    K4, F7 = family("complete", 4), make_field(7)
-    assert (
-        quadric_union_count(K4, F7, budget=7**12, threads=1).raw
-        == quadric_union_count(K4, F7, budget=7**12, threads=8).raw
-    )
-
-
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
 def test_union_matches_walk_across_corpus(q):
     F = make_field(q)
