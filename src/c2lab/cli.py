@@ -8,6 +8,7 @@ emitted as decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -326,10 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first ``main`` call, not at
+    import.  Building it costs more than a small count, and parsing leaves
+    it unchanged, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

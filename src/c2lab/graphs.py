@@ -1,10 +1,15 @@
-"""Labeled multigraphs with deletion, contraction, and census counting.
+"""Labeled multigraphs with deletion, contraction, spanning trees, and
+census counting.
 
 A graph is stored as an ordered tuple of endpoint pairs over vertices
 ``1..vertex_count``.  Self-loops and parallel edges are allowed.  Every edge
 carries a label; labels of a freshly built graph are the positions ``1..N``,
 and they survive deletion/contraction unchanged, so index sets computed on a
 subquotient always refer to the original graph's edges.
+
+Spanning trees are listed by one depth-first walk that never puts in an
+edge closing a cycle (``spanning_tree_labels``); it yields labels, not
+fixed-width masks, so neither the edge count nor the labels are bounded.
 """
 
 from __future__ import annotations
@@ -203,36 +208,62 @@ def subquotient(G: Graph, deleted, contracted) -> Graph:
     return contract(delete(G, deleted), contracted)
 
 
-def _spanning_tree_masks(G: Graph) -> list[int]:
-    """All spanning trees as label bitmasks (empty if G is disconnected).
+def spanning_tree_labels(G: Graph) -> list[tuple[int, ...]]:
+    """The labels of every spanning tree, each ascending, in ascending
+    order of their ``edge_mask``; empty if G is disconnected.
 
-    Internal: does not insist on connectivity, so the polynomial layer can
+    A depth-first walk over the edges by descending label.  Each step puts
+    in one more edge, trying the positions from the last one that still
+    leaves enough edges down to the one after the previous edge, so trees
+    come in ascending bitmask order.  A link per chosen edge joins the two
+    classes of the forest chosen so far under the lesser root, so a
+    vertex's root is its class's least vertex; an edge whose two ends share
+    a class is skipped, so the walk visits only forests and recurses V - 1
+    deep.  It does not insist on connectivity, so the polynomial layer can
     map disconnected graphs to the zero polynomial.
     """
-    n = G.vertex_count - 1
-    if n == 0:
-        return [0]
-    if len(G.edges) < n:
-        return []
-    out = [
-        edge_mask(G.labels[i] for i in combo)
-        for combo in itertools.combinations(range(len(G.edges)), n)
-        if _forest(G, combo) is not None
-    ]
-    out.sort()
-    return out
+    order = sorted(range(len(G.edges)), key=G.labels.__getitem__, reverse=True)
+    ends = [G.edges[i] for i in order]
+    labels = [G.labels[i] for i in order]
+    N = len(order)
+    up = list(range(G.vertex_count + 1))  # a root is its own entry
+    trees: list[tuple[int, ...]] = []
+    chosen: list[int] = []  # descending
+
+    def walk(d: int, left: int) -> None:
+        for e in range(N - left, d - 1, -1):
+            a, b = ends[e]
+            while up[a] != a:
+                a = up[a]
+            while up[b] != b:
+                b = up[b]
+            if a != b:
+                chosen.append(labels[e])
+                if left == 1:
+                    trees.append(tuple(reversed(chosen)))
+                else:
+                    if a > b:
+                        a, b = b, a
+                    up[b] = a
+                    walk(e + 1, left - 1)
+                    up[b] = b
+                chosen.pop()
+
+    if G.vertex_count == 1:
+        return [()]
+    walk(0, G.vertex_count - 1)
+    return trees
 
 
 def spanning_trees(G: Graph) -> list[frozenset]:
     """All spanning trees, in deterministic (bitmask-ascending) order."""
     if not is_connected(G):
         raise NotConnected("spanning trees require a connected graph")
-    masks = _spanning_tree_masks(G)
-    return [frozenset(i + 1 for i in range(64) if m >> i & 1) for m in masks]
+    return [frozenset(t) for t in spanning_tree_labels(G)]
 
 
 def spanning_tree_count(G: Graph) -> int:
-    return len(_spanning_tree_masks(G))
+    return len(spanning_tree_labels(G))
 
 
 def _simple_reduction(G: Graph):

@@ -5,6 +5,9 @@ so products of multilinear polynomials remain representable).  All values
 produced directly from graphs -- psi, phi, Dodgson minors, their duals --
 are multilinear; squares and resultants appearing in identity checks are
 not, which is why the key format allows exponents above one.
+
+``psi`` and ``phi`` read each spanning tree's labels from
+``graphs.spanning_tree_labels`` and keep its order as their term order.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadIndices, IndexOverlap
-from .graphs import Graph, _spanning_tree_masks, edge_mask, incidence
+from .graphs import Graph, edge_mask, incidence, spanning_tree_labels
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -227,21 +230,14 @@ def resultant(f: MLPoly, g: MLPoly, k: int) -> MLPoly:
 @lru_cache(maxsize=1024)
 def psi(G: Graph) -> MLPoly:
     """Sum over spanning trees of the product of edge variables NOT in the tree."""
-    full = edge_mask(G.labels)
-    out = {}
-    for t in _spanning_tree_masks(G):
-        m = full & ~t
-        out[tuple(i + 1 for i in range(64) if m >> i & 1)] = 1
-    return MLPoly(out)
+    full = G.label_set
+    return MLPoly({full.difference(t): 1 for t in spanning_tree_labels(G)})
 
 
 @lru_cache(maxsize=1024)
 def phi(G: Graph) -> MLPoly:
     """Sum over spanning trees of the product of edge variables IN the tree."""
-    out = {}
-    for t in _spanning_tree_masks(G):
-        out[tuple(i + 1 for i in range(64) if t >> i & 1)] = 1
-    return MLPoly(out)
+    return MLPoly({t: 1 for t in spanning_tree_labels(G)})
 
 
 # -- the expanded matrix M(G) and its minors --------------------------------

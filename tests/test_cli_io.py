@@ -54,6 +54,12 @@ def test_cli_poly_text(capsys):
     assert out.strip() == "+1*a1 +1*a2 +1*a3"
 
 
+def test_cli_poly_keeps_labels_beyond_64(capsys):
+    code, out = run_cli(capsys, "poly", "--family", "cycle:70")
+    assert code == 0
+    assert out == " ".join(f"+1*a{i}" for i in range(1, 71)) + "\n"
+
+
 def test_cli_poly_from_file(tmp_path, capsys):
     path = tmp_path / "triangle.g"
     path.write_text(io.graph_to_text(family("cycle", 3)))
@@ -362,3 +368,62 @@ def test_networkx_loads_only_for_planar_dual(tmp_path):
     assert loaded == [False] * 8 + [True]
     assert steps[-1][2]
     assert not pooled  # every count runs in one thread
+
+
+_ONE_PARSER = """
+import argparse, contextlib, io, json, sys
+
+built = [0]
+init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    built[0] += 1
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+import c2lab.cli
+
+at_import = built[0]
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = c2lab.cli.main(argv)
+    runs.append([code, out.getvalue()])
+by_main = built[0]
+c2lab.cli.build_parser()
+print(json.dumps([at_import, by_main, built[0] - by_main, runs]))
+"""
+
+# a success, a usage error, a budget error, then successes of other commands
+_SEQUENCE = [
+    ["poly", "--family", "wheel:4", "--which", "phi"],
+    ["count", "--threads", "2"],
+    ["count", "--family", "wheel:4", "--q", "3", "--budget", "10"],
+    ["count", "--family", "cycle:3", "--q", "2,3"],
+    ["c2", "--family", "complete:4", "--space", "all", "--q", "2"],
+    ["verify", "--theorem", "c220", "--family", "cycle:3", "--q", "4"],
+    ["census", "--family", "wheel:4", "--u", "1", "--v", "1"],
+    ["diag", "--family", "complete:4"],
+    ["poly", "--family", "cycle:3", "--format", "json"],
+    ["admissible", "--family", "wheel:4", "--mode", "structural"],
+    ["family", "--family", "wheel:3", "--format", "text"],
+]
+
+
+def test_main_builds_one_parser_per_process():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(invariants.__file__)))
+    out = subprocess.run([sys.executable, "-c", _ONE_PARSER, json.dumps(_SEQUENCE)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    at_import, by_main, per_build, runs = json.loads(out.stdout)
+    assert at_import == 0  # importing the CLI builds no parser
+    assert by_main == per_build > 0  # all the calls of main share one build
+    assert [code for code, _ in runs] == [0, 2, 3] + [0] * 8
+    for argv, (code, stdout) in zip(_SEQUENCE, runs):
+        alone = subprocess.run([sys.executable, "-m", "c2lab", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (alone.returncode, alone.stdout) == (code, stdout), argv

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from c2lab.corpus import named_graphs
@@ -20,6 +20,7 @@ from c2lab.graphs import (
     components,
     contract,
     delete,
+    edge_mask,
     family,
     girth_at_most,
     incidence,
@@ -29,11 +30,13 @@ from c2lab.graphs import (
     scan_pairs,
     shortest_cycle,
     spanning_tree_count,
+    spanning_tree_labels,
     spanning_trees,
     subquotient,
 )
 from c2lab.identities import IDENTITY_NAMES, default_identity_indices
 from c2lab.matform import gram_matrix, p_matrix
+from c2lab.multipoly import MLPoly, phi, psi
 
 
 def reduced_laplacian_tree_count(G):
@@ -179,6 +182,92 @@ def test_spanning_trees_k4_is_16():
 def test_spanning_trees_requires_connected():
     with pytest.raises(NotConnected):
         spanning_trees(Graph(((1, 2), (3, 4)), 4))
+
+
+def _reference_tree_masks(G):
+    """The combination filter the spanning-tree walk replaced: every
+    (V-1)-subset of the edges that closes no cycle, as sorted bitmasks."""
+    n = G.vertex_count - 1
+    out = []
+    for combo in itertools.combinations(range(G.edge_count), n):
+        parent = list(range(G.vertex_count + 1))
+
+        def root(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i in combo:
+            a, b = (root(x) for x in G.edges[i])
+            if a == b:
+                break
+            parent[b] = a
+        else:
+            out.append(edge_mask(G.labels[i] for i in combo))
+    return sorted(out)
+
+
+def _decode(m):
+    return tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1)
+
+
+def _assert_walk_matches_filter(G):
+    masks = _reference_tree_masks(G)
+    assert [edge_mask(t) for t in spanning_tree_labels(G)] == masks, G
+    full = edge_mask(G.labels)
+    # psi and phi as built from the filter's masks, in their insertion order
+    ref_psi = MLPoly({_decode(full & ~t): 1 for t in masks})
+    ref_phi = MLPoly({_decode(t): 1 for t in masks})
+    assert list(psi(G).terms()) == list(ref_psi.terms()), G
+    assert list(phi(G).terms()) == list(ref_phi.terms()), G
+
+
+def test_tree_walk_matches_combination_filter(corpus, catalog6):
+    wheels = [family("wheel", n) for n in range(3, 9)]
+    for G in list(corpus.values()) + catalog6 + wheels:
+        _assert_walk_matches_filter(G)
+
+
+def test_tree_walk_edge_cases():
+    disconnected = Graph(((1, 2), (1, 2), (3, 4), (3, 4)), 4)
+    assert spanning_tree_labels(disconnected) == []
+    assert psi(disconnected).is_zero and phi(disconnected).is_zero
+    loop = Graph(((1, 1),), 1)
+    assert spanning_tree_labels(loop) == [()]
+    assert psi(loop) == MLPoly.variable(1) and phi(loop) == MLPoly.constant(1)
+    # labels that are not 1..N, and not ascending in edge order
+    sub = subquotient(family("wheel", 5), {2}, {7})
+    assert sub.labels == (1, 3, 4, 5, 6, 8, 9, 10)
+    shuffled = Graph(sub.edges, sub.vertex_count, (9, 3, 10, 1, 6, 4, 8, 5))
+    for G in (disconnected, loop, sub, shuffled):
+        _assert_walk_matches_filter(G)
+
+
+@st.composite
+def labeled_multigraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=8))
+    edges = tuple(
+        (draw(st.integers(min_value=1, max_value=n)), draw(st.integers(min_value=1, max_value=n)))
+        for _ in range(m)
+    )
+    labels = draw(st.lists(st.integers(1, 80), min_size=m, max_size=m, unique=True))
+    return Graph(edges, n, tuple(labels))
+
+
+@seed(18)
+@given(labeled_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_tree_walk_matches_combination_filter_on_random_multigraphs(G):
+    _assert_walk_matches_filter(G)
+
+
+def test_spanning_trees_beyond_64_edges():
+    trees = spanning_trees(family("cycle", 70))
+    assert len(trees) == 70
+    assert all(len(t) == 69 for t in trees)
+    assert trees[0] == frozenset(range(1, 70))  # a70 left out: the least mask
+    assert spanning_tree_count(family("cycle", 70)) == 70
 
 
 def test_girth():

@@ -70,6 +70,13 @@ def test_zero_for_disconnected():
     assert psi(g).is_zero and phi(g).is_zero
 
 
+def test_psi_phi_keep_labels_beyond_64():
+    # every cotree of a 70-cycle is one edge, every tree of a 66-banana too
+    singles = sum((a(i) for i in range(2, 71)), a(1))
+    assert psi(family("cycle", 70)) == singles
+    assert phi(family("banana", 66)) == sum((a(i) for i in range(2, 67)), a(1))
+
+
 def test_cremona_swaps_psi_phi(corpus):
     from c2lab.graphs import is_connected
 
