@@ -10,6 +10,11 @@ subquotient always refer to the original graph's edges.
 Spanning trees are listed by one depth-first walk that never puts in an
 edge closing a cycle (``spanning_tree_labels``); it yields labels, not
 fixed-width masks, so neither the edge count nor the labels are bounded.
+
+The (I, J) scans of the census, both admissibility checks and the S_t sums
+share one batched kernel (``scan_pairs``): the pairs of each size come in
+numpy blocks, and a block's subquotients G\\I//J are read off as
+label-free keys, with no Graph built and no Python loop per pair.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     BadParameter,
@@ -179,7 +186,7 @@ def contract(G: Graph, J) -> Graph:
     does not depend on the order of contraction.  Parallel edges created by
     vertex identification are retained.  The merged vertices are numbered
     by their least vertex of G, so the result does not depend on the order
-    either; ``quotients`` numbers them the same way.
+    either; ``PairBlock.keys`` numbers them the same way.
     """
     drop = set(_positions(G, J))
     uf = _forest(G, drop)
@@ -345,95 +352,169 @@ def scan_sizes(N: int, max_deleted: int) -> list[tuple[int, int]]:
     return sizes
 
 
-def quotients(G: Graph, I, Js):
-    """The subquotients G\\I//J for the label sets J in ``Js`` (disjoint
-    from I), without labels: yields (J, key), where key is None when J
-    holds a cycle (``contract`` would raise) and otherwise
-    (vertex count, sorted edge tuple) of ``subquotient(G, I, J)``.
+# The most pairs of one block of an (I, J) scan: enough that numpy's cost
+# per call is spread thin, few enough that a block's arrays stay small.
+_SCAN_BLOCK = 1 << 11
 
-    The scans' kernel: it builds no Graph and validates nothing per J.
-    Isomorphism class, girth, planarity and the count of phi are
-    label-blind, so the key decides them, and ``Graph(edges, V)`` of a
-    key rebuilds the subquotient with labels 1..N.
+
+def _combinations(n: int, k: int, dtype) -> np.ndarray:
+    """``itertools.combinations(range(n), k)`` as a C(n, k) x k array."""
+    rows = math.comb(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype, count=rows * k).reshape(rows, k)
+
+
+class _ScanGraph:
+    """G's edges ranked by label, with the dtypes of a scan's arrays.
+
+    Edge ranks take the least unsigned dtype that holds N, and vertices and
+    edge codes the least that holds (V + 1)^2: an edge (a, b), a <= b, of a
+    subquotient is coded a (V + 1) + b < (V + 1)^2, so the codes of a key
+    sort as its edges do, and the code (V + 1)^2 of an edge gone from it
+    sorts after them all.
     """
-    pos = {lab: i for i, lab in enumerate(G.labels)}
-    gone = {pos[lab] for lab in I}
-    kept = [(i, u, v) for i, (u, v) in enumerate(G.edges) if i not in gone]
-    edges = G.edges
-    V = G.vertex_count
-    for J in Js:
-        parent = list(range(V + 1))  # a class joins under its least vertex
-        cut = set()
-        for lab in J:
-            i = pos[lab]
-            u, v = edges[i]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u == v:
-                yield J, None
-                break
-            if u < v:
-                parent[v] = u
-            else:
-                parent[u] = v
-            cut.add(i)
-        else:
-            # contract's numbering, by least vertex: parent[x] < x off the roots
-            new = [0] * (V + 1)
-            k = 0
-            for x in range(1, V + 1):
-                p = parent[x]
-                if p == x:
-                    k += 1
-                    new[x] = k
-                else:
-                    new[x] = new[p]
-            ends = []
-            for i, u, v in kept:
-                if i not in cut:
-                    a, b = new[u], new[v]
-                    ends.append((a, b) if a <= b else (b, a))
-            ends.sort()
-            yield J, (k, tuple(ends))
+
+    def __init__(self, G: Graph):
+        order = sorted(range(G.edge_count), key=G.labels.__getitem__)
+        self.N, self.V = G.edge_count, G.vertex_count
+        self.rank = np.min_scalar_type(self.N)
+        self.code = np.min_scalar_type((self.V + 1) ** 2)
+        self.labels = sorted(G.labels)
+        self.ends = np.array([G.edges[i] for i in order], dtype=self.code).reshape(-1, 2)
+        self.vertices = np.arange(self.V + 1, dtype=self.code)
+
+    def classes(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Join the edges of each row of ``edges`` (ranks): each row's map
+        vertex -> least vertex of its class, and whether the row's edges
+        hold no cycle (a self-loop is one)."""
+        comp = np.tile(self.vertices, (len(edges), 1))
+        forest = np.ones(len(edges), dtype=bool)
+        rows = np.arange(len(edges))
+        ends = self.ends[edges]
+        for k in range(edges.shape[1]):
+            a, b = comp[rows, ends[:, k, 0]], comp[rows, ends[:, k, 1]]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            np.copyto(comp, lo[:, None], where=comp == hi[:, None])
+            forest &= lo != hi
+        return comp, forest
+
+    def edge_sets(self, k: int):
+        """``classes`` of every k-edge set, each at its colex rank: the sum
+        over its ranks x_0 < ... < x_{k-1} of C(x_t, t + 1), which a set
+        reads off the returned weights, C(x, t + 1) at [x, t].  A scan
+        joins each J once here, not once per I; the C(N, k) rows are no
+        more than the pairs of any size with |J| = k."""
+        sets = _combinations(self.N, k, self.rank)
+        weights = np.array(
+            [[math.comb(x, t + 1) for t in range(k)] for x in range(self.N)], dtype=np.intp
+        ).reshape(self.N, k)
+        at = weights[sets, np.arange(k)].sum(axis=1)
+        comp, forest = np.empty((len(sets), self.V + 1), self.code), np.empty(len(sets), bool)
+        comp[at], forest[at] = self.classes(sets)
+        return weights, comp, forest
+
+
+class PairBlock:
+    """Consecutive pairs (I, J) of one size of a scan, in scan order.
+
+    ``connected[p]`` is whether G\\I of pair p is connected, and
+    ``forest[p]`` whether its J holds no cycle of G (nor so of G\\I, which
+    keeps J).  A pair is degenerate unless both hold: exactly then
+    G\\I//J is not a connected subquotient and phi^J_I vanishes.
+    """
+
+    def __init__(self, graph: _ScanGraph, I, J, connected, edge_sets):
+        weights, self._comp, forest = edge_sets
+        self._graph = graph
+        self.I, self.J, self.connected = I, J, connected
+        self._at = weights[J, np.arange(J.shape[1])].sum(axis=1)  # J's colex rank
+        self.forest = forest[self._at]
+
+    def __len__(self) -> int:
+        return len(self.I)
+
+    def pair(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The label sets (I, J) of pair p, each ascending."""
+        labels = self._graph.labels
+        return tuple(labels[r] for r in self.I[p].tolist()), tuple(labels[r] for r in self.J[p].tolist())
+
+    def keys(self, where: np.ndarray):
+        """The label-free keys of G\\I//J over the pairs where ``where``
+        holds (all of them forests): (keys, first, inverse), keys in order of
+        first appearance, ``first[k]`` the pair at which key k first appears
+        and ``inverse[m]`` the key of the m-th such pair.
+
+        A key is (vertex count, sorted edge tuple) of ``subquotient(G, I,
+        J)``, its merged vertices numbered by least vertex as ``contract``
+        does, so ``Graph(key[1], key[0])`` rebuilds the subquotient with
+        labels 1..N.  Isomorphism class, girth, planarity and the count of
+        phi are label-blind, so the key decides them.
+        """
+        g = self._graph
+        sel = np.flatnonzero(where)
+        rows = np.arange(len(sel))[:, None]
+        comp = self._comp[self._at[sel], 1:]  # vertex x at column x - 1
+        roots = np.cumsum(comp == g.vertices[1:], axis=1, dtype=g.code)
+        new = roots[rows, comp - 1]  # contract's numbering
+        a, b = new.take(g.ends[:, 0] - 1, axis=1), new.take(g.ends[:, 1] - 1, axis=1)
+        codes = np.minimum(a, b) * (g.V + 1) + np.maximum(a, b)
+        codes[rows, self.I[sel]] = codes[rows, self.J[sel]] = (g.V + 1) ** 2
+        codes.sort(axis=1)
+        table = np.column_stack([roots[:, -1], codes[:, : g.N - self.I.shape[1] - self.J.shape[1]]])
+        rowbytes = np.dtype((np.void, table.dtype.itemsize * table.shape[1]))
+        _, first, inverse = np.unique(table.view(rowbytes).ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        found = table[first[order]]
+        lo, hi = np.divmod(found[:, 1:], g.V + 1)
+        keys = [(k, tuple(zip(l, h))) for k, l, h in zip(found[:, 0].tolist(), lo.tolist(), hi.tolist())]
+        return keys, sel[first[order]], renumber[inverse]
 
 
 def scan_pairs(G: Graph, sizes, *, budget: int | None, what: str):
     """The disjoint label sets (I, J) of G with (|I|, |J|) in ``sizes``:
-    their number, and an iterator over them grouped by I as
-    (I, whether G\\I is connected, the J's), sizes in the given order and
-    label sets in lexicographic order.
+    their number, and an iterator over ``PairBlock``s of at most
+    ``_SCAN_BLOCK`` pairs, sizes in the given order and label sets in
+    lexicographic order.
 
-    A pair is degenerate when G\\I is disconnected or J holds a cycle of
-    G\\I (``quotients`` gives no key): exactly then G\\I//J is not a
-    connected subquotient and phi^J_I vanishes.  Raises BudgetExceeded,
-    as ``what`` of that many pairs, before the first pair when their
-    number exceeds ``budget``.
+    Raises BudgetExceeded, as ``what`` of that many pairs, before the first
+    pair when their number exceeds ``budget``.
     """
     N = G.edge_count
     total = sum(math.comb(N, si) * math.comb(N - si, sj) for si, sj in sizes)
     check_budget(total, budget, f"{what} of {total} pairs")
-    return total, _pair_groups(G, sizes)
+    return total, _pair_blocks(G, sizes)
 
 
-def _pair_groups(G: Graph, sizes):
-    labels = sorted(G.labels)
-    pos = {lab: i for i, lab in enumerate(G.labels)}
+def _pair_blocks(G: Graph, sizes):
+    graph = _ScanGraph(G)
+    N = G.edge_count
+    deletions = {}  # |I| -> (I's, the ranks left in G\\I, G\\I connected), once per scan
+    edge_sets = {}  # |J| -> graph.edge_sets(|J|), once per scan
     for si, sj in sizes:
-        for I in itertools.combinations(labels, si):
-            gone = {pos[lab] for lab in I}
-            uf = _UnionFind(G.vertex_count)
-            joins = sum(uf.union(u, v) for i, (u, v) in enumerate(G.edges) if i not in gone)
-            rest = [l for l in labels if l not in I]
-            yield I, joins == G.vertex_count - 1, itertools.combinations(rest, sj)
+        if si not in deletions:
+            Is = _combinations(N, si, graph.rank)
+            left = np.ones((len(Is), N), dtype=bool)
+            left[np.arange(len(Is))[:, None], Is] = False
+            rest = np.nonzero(left)[1].astype(graph.rank).reshape(len(Is), N - si)
+            comp, _ = graph.classes(rest)
+            deletions[si] = Is, rest, (comp[:, 1:] == 1).all(axis=1)
+        if sj not in edge_sets:
+            edge_sets[sj] = graph.edge_sets(sj)
+        Is, rest, connected = deletions[si]
+        Js = _combinations(N - si, sj, graph.rank)  # positions in rest
+        pairs = len(Is) * len(Js)
+        for start in range(0, pairs, _SCAN_BLOCK):
+            i, j = np.divmod(np.arange(start, min(start + _SCAN_BLOCK, pairs)), len(Js))
+            yield PairBlock(graph, Is[i], rest[i[:, None], Js[j]], connected[i], edge_sets[sj])
 
 
 def census(G: Graph, u: int, v: int, *, budget: int | None = None) -> tuple[int, int]:
     """Count subquotient pairs (I, J) with |I| = h-u and |J| = n-v.
 
     Returns (r, r_bar): r counts the ordered pairs of disjoint edge label
-    sets that are not degenerate (see ``scan_pairs``): G\\I//J is connected
+    sets that are not degenerate (see ``PairBlock``): G\\I//J is connected
     and co-connected; r_bar counts all such pairs.  Raises BudgetExceeded
     before enumerating when r_bar exceeds ``budget``.
     """
@@ -442,13 +523,8 @@ def census(G: Graph, u: int, v: int, *, budget: int | None = None) -> tuple[int,
     h, n = G.h, G.n
     if u > h or v > n:
         raise InvalidRange(f"census needs u <= h_G={h} and v <= n_G={n}")
-    r_bar, pairs = scan_pairs(G, [(h - u, n - v)], budget=budget, what="the census")
-    r = sum(
-        key is not None
-        for I, connected, Js in pairs
-        if connected
-        for _, key in quotients(G, I, Js)
-    )
+    r_bar, blocks = scan_pairs(G, [(h - u, n - v)], budget=budget, what="the census")
+    r = sum(int(np.count_nonzero(b.connected & b.forest)) for b in blocks)
     return r, r_bar
 
 

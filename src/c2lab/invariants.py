@@ -15,6 +15,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .counting import (
     CountReport,
     count_zeros,
@@ -36,7 +38,6 @@ from .graphs import (
     girth_at_most,
     is_connected,
     is_isomorphic,
-    quotients,
     scan_pairs,
     scan_sizes,
     spanning_tree_count,
@@ -152,10 +153,11 @@ def _log_divergent_guard(G: Graph):
 def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     """Sufficient condition: every subquotient with |I| < |J| is disconnected,
     has a cycle of length <= 3, or is planar.  Planar G short-circuits.
-    Of the degenerate pairs (``graphs.scan_pairs``) only those whose J holds
+    Of the degenerate pairs (``graphs.PairBlock``) only those whose J holds
     a cycle of G\\I are skipped; a disconnected G\\I//J meets the condition.
     The condition of a connected subquotient is decided once per scan for
-    each of its label-free keys (``graphs.quotients``).
+    each of its label-free keys (``PairBlock.keys``), in the order the keys
+    first appear, so the scan stops at the first pair that meets none.
 
     Raises BudgetExceeded before scanning when the scan has more pairs than
     ``budget``.
@@ -167,42 +169,49 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
             condition_counts={"planar(G)": 1},
         )
     N = G.edge_count
-    _, pairs = scan_pairs(G, scan_sizes(N, N), budget=budget, what="the structural scan")
+    _, blocks = scan_pairs(G, scan_sizes(N, N), budget=budget, what="the structural scan")
     counts: dict[str, int] = {}
     conditions: dict[tuple, str | None] = {}  # key -> condition met, None if none
     examined = 0
     skipped = 0
-    for I, connected, Js in pairs:
-        for J, key in quotients(G, I, Js):
-            if key is None:
-                skipped += 1
-                continue
-            examined += 1
-            if not connected:  # contracting a forest keeps the components
-                cond = "disconnected"
-            elif key in conditions:
-                cond = conditions[key]
-            else:
+    for block in blocks:
+        good = block.connected & block.forest
+        keys, first, inverse = block.keys(good)
+        end = len(block)  # the pairs before the first failing one
+        for key, f in zip(keys, first.tolist()):
+            if key not in conditions:
                 gamma = Graph(key[1], key[0])
                 if girth_at_most(gamma, 3):
-                    cond = "short-cycle"
+                    conditions[key] = "short-cycle"
                 elif is_planar(gamma):
-                    cond = "planar"
+                    conditions[key] = "planar"
                 else:
-                    cond = None
-                conditions[key] = cond
-            if cond is None:
-                return AdmissibilityReport(
-                    False,
-                    "structural",
-                    examined=examined,
-                    skipped_degenerate=skipped,
-                    condition_counts=counts,
-                    failure=(frozenset(I), frozenset(J)),
-                    failure_detail="subquotient is connected, non-planar, "
-                    "and has no cycle of length <= 3",
-                )
-            counts[cond] = counts.get(cond, 0) + 1
+                    conditions[key] = None
+            if conditions[key] is None:
+                end = f
+                break
+        forest = block.forest[:end]
+        examined += int(np.count_nonzero(forest))
+        skipped += end - int(np.count_nonzero(forest))
+        # contracting a forest keeps the components of G\\I
+        tally = [("disconnected", int(np.count_nonzero(forest & ~block.connected[:end])))]
+        seen = np.bincount(inverse[np.flatnonzero(good) < end], minlength=len(keys))
+        tally += [(conditions[key], k) for key, k in zip(keys, seen.tolist()) if k]
+        for cond, k in tally:
+            if k:
+                counts[cond] = counts.get(cond, 0) + k
+        if end < len(block):
+            I, J = block.pair(end)
+            return AdmissibilityReport(
+                False,
+                "structural",
+                examined=examined + 1,
+                skipped_degenerate=skipped,
+                condition_counts=counts,
+                failure=(frozenset(I), frozenset(J)),
+                failure_detail="subquotient is connected, non-planar, "
+                "and has no cycle of length <= 3",
+            )
     return AdmissibilityReport(
         True, "structural", examined=examined,
         skipped_degenerate=skipped, condition_counts=counts,
@@ -213,16 +222,17 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None) -> AdmissibilityReport
     """Check the defining congruences [phi^J_I] = 0 mod q^3 at one q.
 
     Scans disjoint pairs with |J| > |I|, |I| <= n_G - 3, cheapest first.
-    A pair is skipped when it is degenerate (``graphs.scan_pairs``: G\\I is
+    A pair is skipped when it is degenerate (``graphs.PairBlock``: G\\I is
     disconnected or J holds a cycle of G\\I): exactly then the dual Dodgson
     polynomial phi^J_I is identically zero,
     its vanishing ideal is the whole space and carries no graph information.
     Otherwise phi^J_I is phi of the subquotient G\\I//J, and its count
     depends only on the subquotient's isomorphism class, so each class is
     counted once per scan, and each label-free key of a subquotient
-    (``graphs.quotients``) is classified once.  Raises BudgetExceeded
-    before scanning when the scan has more pairs than ``budget``, which
-    also bounds each count.
+    (``PairBlock.keys``) is classified once, in the order the keys first
+    appear, so the scan stops at the first failing pair.  Raises
+    BudgetExceeded before scanning when the scan has more pairs than
+    ``budget``, which also bounds each count.
     """
     _log_divergent_guard(G)
     q = F.q
@@ -230,18 +240,13 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None) -> AdmissibilityReport
     skipped = 0
     class_counts: dict[tuple, int] = {}  # canonical form -> raw count
     key_counts: dict[tuple, int] = {}  # label-free key -> raw count
-    _, pairs = scan_pairs(
+    _, blocks = scan_pairs(
         G, scan_sizes(G.edge_count, G.n - 3), budget=budget, what="the at-q scan"
     )
-    for I, connected, Js in pairs:
-        if not connected:
-            skipped += sum(1 for _ in Js)
-            continue
-        for J, key in quotients(G, I, Js):
-            if key is None:
-                skipped += 1
-                continue
-            examined += 1
+    for block in blocks:
+        good = block.connected & block.forest
+        keys, first, _ = block.keys(good)
+        for key, f in zip(keys, first.tolist()):
             raw = key_counts.get(key)
             if raw is None:
                 gamma = Graph(key[1], key[0])
@@ -252,15 +257,20 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None) -> AdmissibilityReport
                     class_counts[form] = raw
                 key_counts[key] = raw
             if raw % q**3 != 0:
+                before = int(np.count_nonzero(good[:f]))
+                I, J = block.pair(f)
                 return AdmissibilityReport(
                     False,
                     "at-q",
                     q=q,
-                    examined=examined,
-                    skipped_degenerate=skipped,
+                    examined=examined + before + 1,
+                    skipped_degenerate=skipped + f - before,
                     failure=(frozenset(I), frozenset(J)),
                     failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
                 )
+        passed = int(np.count_nonzero(good))
+        examined += passed
+        skipped += len(block) - passed
     return AdmissibilityReport(
         True, "at-q", q=q, examined=examined, skipped_degenerate=skipped
     )
@@ -272,26 +282,23 @@ def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None) -> tuple[int, int]:
     proof's S_t elements makes equal.  The pair set is symmetric under
     (I, J) <-> (J, I), so both sums run over the subquotients G\\I//J: the
     sums agree, the terms of one pair need not.  A degenerate pair
-    (``graphs.scan_pairs``) has both polynomials zero and adds (q-1)^(N-2t)
+    (``graphs.PairBlock``) has both polynomials zero and adds (q-1)^(N-2t)
     to each sum; the other pairs are tallied by label-free key
-    (``graphs.quotients``) and the torus counts made once per isomorphism
+    (``PairBlock.keys``) and the torus counts made once per isomorphism
     class.  Raises BudgetExceeded before summing when there are more pairs
     than ``budget``, which also bounds each count.
     """
     _require(1 <= t <= G.n, "S_t needs 1 <= t <= n_G")
-    _, pairs = scan_pairs(G, [(t, t)], budget=budget, what="the S_t sums")
+    _, blocks = scan_pairs(G, [(t, t)], budget=budget, what="the S_t sums")
     amb = G.edge_count - 2 * t
     degenerate = 0
     keys: dict[tuple, int] = {}  # label-free key -> pair count
-    for I, connected, Js in pairs:
-        if not connected:
-            degenerate += sum(1 for _ in Js)
-            continue
-        for _, key in quotients(G, I, Js):
-            if key is None:
-                degenerate += 1
-            else:
-                keys[key] = keys.get(key, 0) + 1
+    for block in blocks:
+        good = block.connected & block.forest
+        degenerate += len(block) - int(np.count_nonzero(good))
+        found, _, inverse = block.keys(good)
+        for key, k in zip(found, np.bincount(inverse, minlength=len(found)).tolist()):
+            keys[key] = keys.get(key, 0) + k
     classes: dict[tuple, list] = {}  # canonical form -> [a member, its pair count]
     for (V, edges), k in keys.items():
         gamma = Graph(edges, V)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from c2lab.errors import (
     SelfLoopContraction,
     UnknownFamily,
 )
+from c2lab import graphs
 from c2lab.graphs import (
     Graph,
     census,
@@ -26,7 +28,6 @@ from c2lab.graphs import (
     incidence,
     is_connected,
     is_isomorphic,
-    quotients,
     scan_pairs,
     shortest_cycle,
     spanning_tree_count,
@@ -509,26 +510,46 @@ def test_census_range_errors():
         census(tri, 5, 0)
 
 
-def _kernel_agrees_with_contract(G):
-    """Every pair (I, J) of every size, through ``scan_pairs`` and the
-    kernel, against ``delete`` + ``contract``; returns the pair count."""
+def _kernel_pairs(G, sizes):
+    """Every pair of the scan of ``sizes``, in scan order, as
+    (I, J, connected, key), the key None where J holds a cycle."""
+    total, blocks = scan_pairs(G, sizes, budget=None, what="the kernel check")
+    out = []
+    for block in blocks:
+        keys, _, inverse = block.keys(block.forest)
+        key_of = dict(zip(np.flatnonzero(block.forest).tolist(), [keys[k] for k in inverse.tolist()]))
+        for p in range(len(block)):
+            I, J = block.pair(p)
+            out.append((I, J, bool(block.connected[p]), key_of.get(p)))
+    assert len(out) == total
+    return out
+
+
+def _kernel_agrees_with_contract(G, sizes=None):
+    """Every pair (I, J) of ``sizes`` (default: every size), through
+    ``scan_pairs`` and its blocks, in lexicographic order and against
+    ``delete`` + ``contract``; returns the pair count."""
     N = G.edge_count
-    sizes = [(si, sj) for si in range(N + 1) for sj in range(N - si + 1)]
-    total, groups = scan_pairs(G, sizes, budget=None, what="the kernel check")
-    seen = 0
-    for I, connected, Js in groups:
+    if sizes is None:
+        sizes = [(si, sj) for si in range(N + 1) for sj in range(N - si + 1)]
+    pairs = _kernel_pairs(G, sizes)
+    labels = sorted(G.labels)
+    assert [(I, J) for I, J, _, _ in pairs] == [
+        (I, J)
+        for si, sj in sizes
+        for I in itertools.combinations(labels, si)
+        for J in itertools.combinations([l for l in labels if l not in I], sj)
+    ]
+    for I, J, connected, key in pairs:
         GI = delete(G, I)
         assert connected == is_connected(GI), (G.edges, I)
-        for J, key in quotients(G, I, Js):
-            seen += 1
-            try:
-                gamma = contract(GI, J)
-            except SelfLoopContraction:
-                assert key is None, (G.edges, I, J)
-                continue
-            assert key == (gamma.vertex_count, tuple(sorted(gamma.edges))), (G.edges, I, J)
-    assert seen == total == 3**N
-    return seen
+        try:
+            gamma = contract(GI, J)
+        except SelfLoopContraction:
+            assert key is None, (G.edges, I, J)
+            continue
+        assert key == (gamma.vertex_count, tuple(sorted(gamma.edges))), (G.edges, I, J)
+    return len(pairs)
 
 
 def test_quotients_is_contract_pair_for_pair(corpus, catalog5):
@@ -539,9 +560,11 @@ def test_quotients_is_contract_pair_for_pair(corpus, catalog5):
         ((2, 5), (1, 3), (4, 5), (3, 2), (1, 5), (4, 1), (3, 5), (2, 4)), 5,
         (9, 3, 12, 1, 7, 5, 2, 11),
     )
-    graphs = list(corpus.values()) + [relabelled]
-    graphs += random.Random(13).sample(catalog5, 40)  # loops and parallel edges
-    assert sum(_kernel_agrees_with_contract(G) for G in graphs) > 30000
+    cases = list(corpus.values()) + [relabelled]
+    cases += random.Random(13).sample(catalog5, 40)  # loops and parallel edges
+    counts = [_kernel_agrees_with_contract(G) for G in cases]
+    assert counts == [3**G.edge_count for G in cases]
+    assert sum(counts) > 30000
 
 
 def test_contract_numbers_merged_vertices_by_least_vertex():
@@ -549,11 +572,74 @@ def test_contract_numbers_merged_vertices_by_least_vertex():
     # and vertex 2 is vertex 2, whichever root the unions leave
     G = Graph(((2, 4), (1, 4), (3, 4), (1, 4), (3, 4)), 4)
     assert contract(G, {2, 3}).edges == ((1, 2), (1, 1), (1, 1))
-    assert list(quotients(G, (), [(2, 3), (2, 4)])) == [
-        ((2, 3), (2, ((1, 1), (1, 1), (1, 2)))),
-        ((2, 4), None),  # a double edge is a cycle
-    ]
-    assert list(quotients(G, (4, 5), [(1, 3)])) == [((1, 3), (2, ((1, 2),)))]
+    keys = {(I, J): key for I, J, _, key in _kernel_pairs(G, [(0, 2), (2, 2)])}
+    assert keys[(), (2, 3)] == (2, ((1, 1), (1, 1), (1, 2)))
+    assert keys[(), (2, 4)] is None  # a double edge is a cycle
+    assert keys[(4, 5), (1, 3)] == (2, ((1, 2),))
+
+
+def test_kernel_widens_the_code_dtype_past_15_vertices():
+    # 20 vertices: an edge code a (V + 1) + b, up to 21^2 - 1, needs two bytes
+    G = family("cycle", 20)
+    assert np.dtype(graphs._ScanGraph(G).code).itemsize == 2
+    sizes = [(1, 1), (2, 0), (0, 3), (2, 17), (1, 19)]
+    assert _kernel_agrees_with_contract(G, sizes) == sum(
+        math.comb(20, si) * math.comb(20 - si, sj) for si, sj in sizes
+    )
+    # census-sized: every forest of C_20 short of a spanning tree is a path
+    assert census(G, 1, 0) == (20, 20)  # |I| = 0, |J| = 19: the spanning trees
+    assert census(G, 1, 1) == (190, 190)  # |I| = 0, |J| = 18
+    assert census(G, 0, 1) == (380, 380)  # |I| = 1, |J| = 18
+
+
+def test_kernel_blocks_split_inside_an_I_group_and_a_J_run(monkeypatch):
+    # wheel:4 at (1, 3): 8 I's of C(7, 3) = 35 J's each; blocks of 16 pairs
+    # end inside the J's of one I, between two J's with the same least label
+    G = family("wheel", 4)
+    whole = _kernel_pairs(G, [(1, 3), (2, 3)])
+    monkeypatch.setattr(graphs, "_SCAN_BLOCK", 16)
+    _, blocks = scan_pairs(G, [(1, 3), (2, 3)], budget=None, what="the block check")
+    sizes = [len(b) for b in blocks]
+    assert max(sizes) == 16 and sum(sizes) == len(whole)
+    edges = list(itertools.accumulate(sizes))[:-1]
+    inside = [e for e in edges if whole[e - 1][0] == whole[e][0] and whole[e - 1][1][0] == whole[e][1][0]]
+    assert len(inside) > len(edges) // 2
+    assert _kernel_pairs(G, [(1, 3), (2, 3)]) == whole
+    assert _kernel_agrees_with_contract(G, [(1, 3), (2, 3)]) == len(whole)
+
+
+def test_census_blocks_hold_at_most_scan_block_pairs(monkeypatch):
+    seen = []
+
+    def recording(*args, **kwargs):
+        total, blocks = scan_pairs(*args, **kwargs)
+        return total, (seen.append(len(b)) or b for b in blocks)
+
+    monkeypatch.setattr(graphs, "scan_pairs", recording)
+    assert census(family("wheel", 6), 2, 0)[1] == 13860
+    assert sum(seen) == 13860 and len(seen) > 1
+    assert max(seen) <= graphs._SCAN_BLOCK
+
+
+@st.composite
+def scan_cases(draw):
+    """A loopy multigraph labelled out of edge order, and one scan size
+    (|I|, |J|) with |I| + |J| <= N."""
+    G = draw(labeled_multigraphs())
+    N = G.edge_count
+    si = draw(st.integers(0, N))
+    sj = draw(st.sampled_from(sorted({0, N - si, draw(st.integers(0, N - si))})))
+    return G, (si, sj)
+
+
+@seed(19)
+@given(scan_cases())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_delete_contract_on_random_multigraphs(case):
+    G, size = case
+    assert _kernel_agrees_with_contract(G, [size]) == math.comb(G.edge_count, size[0]) * math.comb(
+        G.edge_count - size[0], size[1]
+    )
 
 
 def test_delete_contract_commute(corpus):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from c2lab import invariants, multipoly
+from c2lab import graphs, invariants, multipoly
 from c2lab.corpus import nonplanar_log_divergent
 from c2lab.counting import CountReport, count_zeros, count_zeros_torus
 from c2lab.errors import BudgetExceeded, NotATriangle, PreconditionUnmet, SelfLoopContraction
@@ -417,6 +417,30 @@ def test_admissible_structural_reports_first_pair_of_failing_class(monkeypatch, 
     # planarity is decided once per label-free key, not once per pair
     assert len(per_key) == 1 + len({(g.vertex_count, g.edges) for g in per_key[1:]})
     assert len(per_key) < len(per_pair) if k == 12 else len(per_key) <= len(per_pair)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_scans_stop_at_the_same_pair_across_block_edges(monkeypatch, block):
+    # with blocks this small the failing pair falls first in a block, or
+    # inside one after other keys; the scans must still stop exactly there
+    monkeypatch.setattr(graphs, "_SCAN_BLOCK", block)
+    G, F = family("wheel", 4), make_field(2)
+    examined = _scan_classes(G)
+    pairs = list(_at_q_pairs(G))
+    classes = list(dict.fromkeys(key for _, _, key in examined))
+    for k in (0, len(classes) // 2, len(classes) - 1):
+        first = next(i for i, (_, _, key) in enumerate(examined) if key == classes[k])
+        I, J, _ = examined[first]
+        _counting(monkeypatch, fail_call=k + 1)
+        rep = admissible_at_q(G, F)
+        assert (rep.failure, rep.examined) == ((frozenset(I), frozenset(J)), first + 1)
+        assert rep.skipped_degenerate == pairs.index((I, J)) + 1 - rep.examined
+    K = nonplanar_log_divergent()
+    monkeypatch.setattr(invariants, "girth_at_most", _no_short_cycle)
+    for k in (1, 4, 12):
+        reference = _structural_per_pair(K, _planar_failing_at(k, []), _no_short_cycle)
+        monkeypatch.setattr(invariants, "is_planar", _planar_failing_at(k, []))
+        assert admissible_structural(K).to_json() == reference.to_json()
 
 
 _AGREEMENT_GRAPHS = {
