@@ -33,9 +33,7 @@ from .planar import is_planar, planar_dual
 SCHEMA = "c2lab/1"
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    report = {"schema": SCHEMA, **report}
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -43,12 +41,17 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit(report: dict, out_path: str | None) -> None:
+    report = {"schema": SCHEMA, **report}
+    _write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", out_path)
+
+
 def _graph_from_args(args) -> tuple[str, Graph]:
-    if getattr(args, "graph_file", None) and getattr(args, "family", None):
+    if args.graph_file and args.family:
         raise BadParameter("give exactly one of --graph-file and --family")
-    if getattr(args, "graph_file", None):
+    if args.graph_file:
         return os.path.basename(args.graph_file), io.load_graph(args.graph_file)
-    if getattr(args, "family", None):
+    if args.family:
         spec = args.family
         if ":" not in spec:
             raise BadParameter("family spec must look like name:n, e.g. wheel:3")
@@ -58,7 +61,7 @@ def _graph_from_args(args) -> tuple[str, Graph]:
 
 
 def _q_list(args) -> list[int]:
-    if not getattr(args, "q", None):
+    if not args.q:
         raise BadParameter("--q is required for this command")
     try:
         qs = [int(x) for x in str(args.q).split(",") if x.strip()]
@@ -77,12 +80,7 @@ def _cmd_poly(args) -> int:
     gid, G = _graph_from_args(args)
     P = psi(G) if args.which == "psi" else phi(G)
     if args.format == "text":
-        out = P.to_text()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
-        else:
-            print(out)
+        _write(P.to_text() + "\n", args.out)
         return 0
     _emit(
         {
@@ -165,19 +163,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_admissible(args) -> int:
     gid, G = _graph_from_args(args)
-    results = []
     if args.mode == "structural":
-        results.append(admissible_structural(G, budget=args.budget).to_json())
+        reports = [admissible_structural(G, budget=args.budget)]
     else:
-        for q in _q_list(args):
-            rep = admissible_at_q(G, make_field(q), budget=args.budget)
-            results.append(rep.to_json())
+        fields = [make_field(q) for q in _q_list(args)]
+        reports = admissible_at_q(G, fields, budget=args.budget)
     _emit(
         {
             "command": "admissible",
             "graph": _graph_json(gid, G),
             "mode": args.mode,
-            "results": results,
+            "results": [rep.to_json() for rep in reports],
         },
         args.out,
     )
@@ -227,12 +223,7 @@ def _cmd_diag(args) -> int:
 def _cmd_family(args) -> int:
     gid, G = _graph_from_args(args)
     if args.format == "text":
-        out = io.graph_to_text(G)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
+        _write(io.graph_to_text(G), args.out)
         return 0
     report = {"command": "family", "graph": _graph_json(gid, G)}
     report["planar"] = is_planar(G)
@@ -341,6 +332,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise BadParameter(f"--budget must be 0 or more, not {args.budget}")
         return args.fn(args)
     except BudgetExceeded as e:
         _emit({"command": args.command, "error": {"code": e.code, "message": str(e)}}, None)

@@ -135,14 +135,8 @@ class FqField:
                     mul[a, b] = code_of[_poly_mul_mod(sa, sb, self.irreducible, p)]
         self.add_table = add
         self.mul_table = mul
-        neg = np.zeros(q, dtype=np.uint8)
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            neg[a] = next(b for b in range(q) if add[a, b] == 0)
-            if a:
-                inv[a] = next(b for b in range(1, q) if mul[a, b] == 1)
-        self.neg_table = neg
-        self.inv_table = inv
+        self.neg_table = (add == 0).argmax(1).astype(np.uint8)
+        self.inv_table = (mul == 1).argmax(1).astype(np.uint8)  # row 0 has no 1: inv[0] = 0
         codes = np.arange(q)
         self.digits = (codes[:, None] // p ** np.arange(s)) % p
         # column j: the digits of c * p^j, the image of the j-th basis element

@@ -419,8 +419,9 @@ class PairBlock:
 
     ``connected[p]`` is whether G\\I of pair p is connected, and
     ``forest[p]`` whether its J holds no cycle of G (nor so of G\\I, which
-    keeps J).  A pair is degenerate unless both hold: exactly then
-    G\\I//J is not a connected subquotient and phi^J_I vanishes.
+    keeps J).  A pair is degenerate unless both hold, that is unless
+    ``good[p]``: exactly then G\\I//J is not a connected subquotient and
+    phi^J_I vanishes.
     """
 
     def __init__(self, graph: _ScanGraph, I, J, connected, edge_sets):
@@ -429,6 +430,7 @@ class PairBlock:
         self.I, self.J, self.connected = I, J, connected
         self._at = weights[J, np.arange(J.shape[1])].sum(axis=1)  # J's colex rank
         self.forest = forest[self._at]
+        self.good = connected & self.forest
 
     def __len__(self) -> int:
         return len(self.I)
@@ -438,9 +440,9 @@ class PairBlock:
         labels = self._graph.labels
         return tuple(labels[r] for r in self.I[p].tolist()), tuple(labels[r] for r in self.J[p].tolist())
 
-    def keys(self, where: np.ndarray):
-        """The label-free keys of G\\I//J over the pairs where ``where``
-        holds (all of them forests): (keys, first, inverse), keys in order of
+    def keys(self):
+        """The label-free keys of G\\I//J over the pairs that are not
+        degenerate (``good``): (keys, first, inverse), keys in order of
         first appearance, ``first[k]`` the pair at which key k first appears
         and ``inverse[m]`` the key of the m-th such pair.
 
@@ -451,7 +453,7 @@ class PairBlock:
         phi are label-blind, so the key decides them.
         """
         g = self._graph
-        sel = np.flatnonzero(where)
+        sel = np.flatnonzero(self.good)
         rows = np.arange(len(sel))[:, None]
         comp = self._comp[self._at[sel], 1:]  # vertex x at column x - 1
         roots = np.cumsum(comp == g.vertices[1:], axis=1, dtype=g.code)
@@ -524,7 +526,7 @@ def census(G: Graph, u: int, v: int, *, budget: int | None = None) -> tuple[int,
     if u > h or v > n:
         raise InvalidRange(f"census needs u <= h_G={h} and v <= n_G={n}")
     r_bar, blocks = scan_pairs(G, [(h - u, n - v)], budget=budget, what="the census")
-    r = sum(int(np.count_nonzero(b.connected & b.forest)) for b in blocks)
+    r = sum(int(np.count_nonzero(b.good)) for b in blocks)
     return r, r_bar
 
 

@@ -175,8 +175,7 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     examined = 0
     skipped = 0
     for block in blocks:
-        good = block.connected & block.forest
-        keys, first, inverse = block.keys(good)
+        keys, first, inverse = block.keys()
         end = len(block)  # the pairs before the first failing one
         for key, f in zip(keys, first.tolist()):
             if key not in conditions:
@@ -195,7 +194,7 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
         skipped += end - int(np.count_nonzero(forest))
         # contracting a forest keeps the components of G\\I
         tally = [("disconnected", int(np.count_nonzero(forest & ~block.connected[:end])))]
-        seen = np.bincount(inverse[np.flatnonzero(good) < end], minlength=len(keys))
+        seen = np.bincount(inverse[np.flatnonzero(block.good) < end], minlength=len(keys))
         tally += [(conditions[key], k) for key, k in zip(keys, seen.tolist()) if k]
         for cond, k in tally:
             if k:
@@ -218,8 +217,53 @@ def admissible_structural(G: Graph, *, budget=None) -> AdmissibilityReport:
     )
 
 
-def admissible_at_q(G: Graph, F: FqField, *, budget=None) -> AdmissibilityReport:
-    """Check the defining congruences [phi^J_I] = 0 mod q^3 at one q.
+@dataclass
+class _Class:
+    """An isomorphism class of connected subquotients G\\I//J in a scan:
+    a member, its number of pairs, and its first pair (I, J), as label
+    sets, with that pair's index in the scan and the number of connected
+    pairs before it."""
+
+    member: Graph
+    pairs: int
+    first: tuple
+    index: int
+    before: int
+
+
+def _scan_classes(G: Graph, sizes, *, budget, what) -> tuple[list[_Class], int, int]:
+    """The connected subquotients G\\I//J of one ``graphs.scan_pairs``,
+    grouped by isomorphism class in order of first appearance: (classes,
+    pairs, connected pairs).  Each label-free key (``PairBlock.keys``) is
+    put in its class once, by a memo that lasts this call; the degenerate
+    pairs (``graphs.PairBlock``) are only counted.  Raises BudgetExceeded
+    before the first pair as ``scan_pairs`` does.
+    """
+    total, blocks = scan_pairs(G, sizes, budget=budget, what=what)
+    forms: dict[tuple, tuple] = {}  # label-free key -> canonical form
+    classes: dict[tuple, _Class] = {}  # canonical form -> its class
+    seen = good = 0  # pairs and connected pairs of the blocks before
+    for block in blocks:
+        keys, first, inverse = block.keys()
+        tally = np.bincount(inverse, minlength=len(keys)).tolist()
+        for key, f, k in zip(keys, first.tolist(), tally):
+            form = forms.get(key)
+            if form is None:
+                gamma = Graph(key[1], key[0])
+                form = forms[key] = canonical_form(gamma)
+                if form not in classes:
+                    before = good + int(np.count_nonzero(block.good[:f]))
+                    first_pair = tuple(map(frozenset, block.pair(f)))
+                    classes[form] = _Class(gamma, 0, first_pair, seen + f, before)
+            classes[form].pairs += k
+        seen += len(block)
+        good += int(np.count_nonzero(block.good))
+    return list(classes.values()), total, good
+
+
+def admissible_at_q(G: Graph, fields, *, budget=None) -> list[AdmissibilityReport]:
+    """Check the defining congruences [phi^J_I] = 0 mod q^3 at each q of
+    ``fields``: one report per field, all from one scan.
 
     Scans disjoint pairs with |J| > |I|, |I| <= n_G - 3, cheapest first.
     A pair is skipped when it is degenerate (``graphs.PairBlock``: G\\I is
@@ -227,53 +271,30 @@ def admissible_at_q(G: Graph, F: FqField, *, budget=None) -> AdmissibilityReport
     polynomial phi^J_I is identically zero,
     its vanishing ideal is the whole space and carries no graph information.
     Otherwise phi^J_I is phi of the subquotient G\\I//J, and its count
-    depends only on the subquotient's isomorphism class, so each class is
-    counted once per scan, and each label-free key of a subquotient
-    (``PairBlock.keys``) is classified once, in the order the keys first
-    appear, so the scan stops at the first failing pair.  Raises
-    BudgetExceeded before scanning when the scan has more pairs than
-    ``budget``, which also bounds each count.
+    depends only on the subquotient's isomorphism class, so the classes
+    (``_scan_classes``) are counted once per field, in order of first
+    appearance, up to the first that fails; its first pair is the scan's
+    first failing pair.  Raises BudgetExceeded before scanning when the
+    scan has more pairs than ``budget``, which also bounds each count.
     """
     _log_divergent_guard(G)
-    q = F.q
-    examined = 0
-    skipped = 0
-    class_counts: dict[tuple, int] = {}  # canonical form -> raw count
-    key_counts: dict[tuple, int] = {}  # label-free key -> raw count
-    _, blocks = scan_pairs(
+    classes, pairs, good = _scan_classes(
         G, scan_sizes(G.edge_count, G.n - 3), budget=budget, what="the at-q scan"
     )
-    for block in blocks:
-        good = block.connected & block.forest
-        keys, first, _ = block.keys(good)
-        for key, f in zip(keys, first.tolist()):
-            raw = key_counts.get(key)
-            if raw is None:
-                gamma = Graph(key[1], key[0])
-                form = canonical_form(gamma)
-                raw = class_counts.get(form)
-                if raw is None:
-                    raw = count_zeros([phi(gamma)], F, gamma.edge_count, budget=budget).raw
-                    class_counts[form] = raw
-                key_counts[key] = raw
-            if raw % q**3 != 0:
-                before = int(np.count_nonzero(good[:f]))
-                I, J = block.pair(f)
-                return AdmissibilityReport(
-                    False,
-                    "at-q",
-                    q=q,
-                    examined=examined + before + 1,
-                    skipped_degenerate=skipped + f - before,
-                    failure=(frozenset(I), frozenset(J)),
-                    failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
-                )
-        passed = int(np.count_nonzero(good))
-        examined += passed
-        skipped += len(block) - passed
-    return AdmissibilityReport(
-        True, "at-q", q=q, examined=examined, skipped_degenerate=skipped
-    )
+    return [_at_q_report(classes, pairs, good, F, budget) for F in fields]
+
+
+def _at_q_report(classes, pairs, good, F: FqField, budget) -> AdmissibilityReport:
+    q = F.q
+    for c in classes:
+        raw = count_zeros([phi(c.member)], F, c.member.edge_count, budget=budget).raw
+        if raw % q**3 != 0:
+            return AdmissibilityReport(
+                False, "at-q", q=q, examined=c.before + 1,
+                skipped_degenerate=c.index - c.before, failure=c.first,
+                failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
+            )
+    return AdmissibilityReport(True, "at-q", q=q, examined=good, skipped_degenerate=pairs - good)
 
 
 def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None) -> tuple[int, int]:
@@ -283,31 +304,21 @@ def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None) -> tuple[int, int]:
     (I, J) <-> (J, I), so both sums run over the subquotients G\\I//J: the
     sums agree, the terms of one pair need not.  A degenerate pair
     (``graphs.PairBlock``) has both polynomials zero and adds (q-1)^(N-2t)
-    to each sum; the other pairs are tallied by label-free key
-    (``PairBlock.keys``) and the torus counts made once per isomorphism
-    class.  Raises BudgetExceeded before summing when there are more pairs
-    than ``budget``, which also bounds each count.
+    to each sum; the torus counts of the others are made once per
+    isomorphism class (``_scan_classes``).  With 2t > N_G there are no
+    pairs, and both sums are 0.  Raises BudgetExceeded before summing when
+    there are more pairs than ``budget``, which also bounds each count.
     """
     _require(1 <= t <= G.n, "S_t needs 1 <= t <= n_G")
-    _, blocks = scan_pairs(G, [(t, t)], budget=budget, what="the S_t sums")
+    classes, pairs, good = _scan_classes(G, [(t, t)], budget=budget, what="the S_t sums")
     amb = G.edge_count - 2 * t
-    degenerate = 0
-    keys: dict[tuple, int] = {}  # label-free key -> pair count
-    for block in blocks:
-        good = block.connected & block.forest
-        degenerate += len(block) - int(np.count_nonzero(good))
-        found, _, inverse = block.keys(good)
-        for key, k in zip(found, np.bincount(inverse, minlength=len(found)).tolist()):
-            keys[key] = keys.get(key, 0) + k
-    classes: dict[tuple, list] = {}  # canonical form -> [a member, its pair count]
-    for (V, edges), k in keys.items():
-        gamma = Graph(edges, V)
-        classes.setdefault(canonical_form(gamma), [gamma, 0])[1] += k
+    if amb < 0:
+        return 0, 0
 
     def total(poly) -> int:
-        return degenerate * (F.q - 1) ** amb + sum(
-            k * count_zeros_torus([poly(gamma)], F, amb, budget=budget).raw
-            for gamma, k in classes.values()
+        return (pairs - good) * (F.q - 1) ** amb + sum(
+            c.pairs * count_zeros_torus([poly(c.member)], F, amb, budget=budget).raw
+            for c in classes
         )
 
     return total(psi), total(phi)

@@ -260,6 +260,38 @@ def test_cli_at_q_budget_exit_code(capsys):
     assert json.loads(out)["error"]["message"] == "the at-q scan of 1215 pairs exceeds the budget 10"
 
 
+def test_cli_rejects_a_negative_budget(capsys):
+    argv = ["count", "--family", "wheel:3", "--q", "2", "--budget"]
+    code, out = run_cli(capsys, *argv, "-1")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "BadParameter"
+    code, out = run_cli(capsys, "admissible", "--family", "wheel:4", "--budget", "-1")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "BadParameter"
+    # a budget of 0 is valid: wheel:3 counts at q = 2 exceed it
+    assert run_cli(capsys, *argv, "0")[0] == 3
+
+
+@pytest.mark.parametrize("spec", ["wheel:4", "Gn:4"])
+def test_cli_at_q_scans_once_for_all_q(capsys, spec):
+    argv = ["admissible", "--family", spec, "--mode", "at-q", "--q"]
+    code, out = run_cli(capsys, *argv, "2,3")
+    assert code == 0
+    results = []
+    for q in ("2", "3"):
+        code, one = run_cli(capsys, *argv, q)
+        assert code == 0
+        results += json.loads(one)["results"]
+    assert json.loads(out)["results"] == results
+
+
+def test_cli_at_q_checks_every_q_before_the_scan(capsys):
+    argv = ["admissible", "--family", "wheel:4", "--mode", "at-q", "--q", "2,6", "--budget", "5"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "UnsupportedQ"
+
+
 def test_cli_thread_determinism(capsys, tmp_path):
     # every count runs in one thread; a second run of the same job in the
     # same process, with whatever the first left cached, writes the same bytes

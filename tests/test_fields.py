@@ -15,6 +15,7 @@ def test_field_axioms(q):
     F = make_field(q)
     els = list(F.elements())
     assert F.add(0, 0) == 0 and F.mul(1, 1) == 1
+    assert F.neg_table.dtype == F.inv_table.dtype == np.uint8 and F.inv_table[0] == 0
     for x in els:
         assert F.add(x, 0) == x
         assert F.mul(x, 1) == x

@@ -512,12 +512,14 @@ def test_census_range_errors():
 
 def _kernel_pairs(G, sizes):
     """Every pair of the scan of ``sizes``, in scan order, as
-    (I, J, connected, key), the key None where J holds a cycle."""
+    (I, J, connected, key), the key None where the pair is degenerate
+    (G\\I disconnected or J holding a cycle)."""
     total, blocks = scan_pairs(G, sizes, budget=None, what="the kernel check")
     out = []
     for block in blocks:
-        keys, _, inverse = block.keys(block.forest)
-        key_of = dict(zip(np.flatnonzero(block.forest).tolist(), [keys[k] for k in inverse.tolist()]))
+        assert (block.good == (block.connected & block.forest)).all()
+        keys, _, inverse = block.keys()
+        key_of = dict(zip(np.flatnonzero(block.good).tolist(), [keys[k] for k in inverse.tolist()]))
         for p in range(len(block)):
             I, J = block.pair(p)
             out.append((I, J, bool(block.connected[p]), key_of.get(p)))
@@ -546,6 +548,9 @@ def _kernel_agrees_with_contract(G, sizes=None):
         try:
             gamma = contract(GI, J)
         except SelfLoopContraction:
+            assert key is None, (G.edges, I, J)
+            continue
+        if not connected:
             assert key is None, (G.edges, I, J)
             continue
         assert key == (gamma.vertex_count, tuple(sorted(gamma.edges))), (G.edges, I, J)

@@ -153,8 +153,8 @@ def test_at_q_and_s_t_budgets_bound_pair_counts():
     # refuse one pair less before their first pair, like the structural scan
     W4, F2 = family("wheel", 4), make_field(2)
     with pytest.raises(BudgetExceeded, match="the at-q scan of 1215 pairs"):
-        admissible_at_q(W4, F2, budget=1214)
-    assert admissible_at_q(W4, F2, budget=1215).admissible
+        admissible_at_q(W4, [F2], budget=1214)
+    assert admissible_at_q(W4, [F2], budget=1215)[0].admissible
     with pytest.raises(BudgetExceeded, match="the S_t sums of 420 pairs"):
         s_t_sums(W4, 2, F2, budget=419)
     s_psi, s_phi = s_t_sums(W4, 2, F2, budget=420)
@@ -173,14 +173,14 @@ def test_census_and_structural_budget_messages():
 def test_admissible_at_q_planar_graphs():
     F2 = make_field(2)
     for G in (family("complete", 4), family("Gn", 3)):
-        rep = admissible_at_q(G, F2)
+        rep = admissible_at_q(G, [F2])[0]
         assert rep.admissible, rep.to_json()
         assert rep.examined > 0
 
 
 def test_admissible_at_q_guard():
     with pytest.raises(PreconditionUnmet):
-        admissible_at_q(family("banana", 4), make_field(2))
+        admissible_at_q(family("banana", 4), [make_field(2)])
 
 
 def _at_q_pairs(G, max_deleted=None):
@@ -256,7 +256,7 @@ _W4_RELABELLED = Graph(
 )
 def test_admissible_at_q_matches_dodgson_scan(G, q):
     F = make_field(q)
-    assert admissible_at_q(G, F).to_json() == _dodgson_scan(G, F).to_json()
+    assert admissible_at_q(G, [F])[0].to_json() == _dodgson_scan(G, F).to_json()
 
 
 def _scan_classes(G):
@@ -291,7 +291,7 @@ def test_admissible_at_q_reports_first_pair_of_failing_class(monkeypatch):
     first = next(i for i, (_, _, key) in enumerate(examined) if key == classes[k])
     I, J, _ = examined[first]
     _counting(monkeypatch, fail_call=k + 1)
-    rep = admissible_at_q(G, F)
+    rep = admissible_at_q(G, [F])[0]
     assert not rep.admissible
     assert rep.failure == (frozenset(I), frozenset(J))
     assert rep.examined == first + 1
@@ -303,9 +303,9 @@ def test_admissible_at_q_counts_each_class_once_per_scan(monkeypatch):
     G, F = family("wheel", 4), make_field(2)
     classes = {key for _, _, key in _scan_classes(G)}
     calls = _counting(monkeypatch)
-    assert admissible_at_q(G, F).admissible
+    assert admissible_at_q(G, [F])[0].admissible
     assert len(calls) == len(classes)
-    assert admissible_at_q(G, F).admissible
+    assert admissible_at_q(G, [F])[0].admissible
     assert len(calls) == 2 * len(classes)
 
 
@@ -326,11 +326,67 @@ def test_admissible_at_q_classifies_each_key_once_per_call(monkeypatch):
         return canonical_form(gamma)
 
     monkeypatch.setattr(invariants, "canonical_form", form)
-    assert admissible_at_q(G, F).admissible
+    assert admissible_at_q(G, [F])[0].admissible
     assert len(calls) == len(keys) < len(list(_at_q_pairs(G)))
     assert {(g.vertex_count, g.edges) for g in calls} == keys
-    assert admissible_at_q(G, F).admissible
+    assert admissible_at_q(G, [F])[0].admissible
     assert len(calls) == 2 * len(keys)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [family("wheel", 4), family("Gn", 4), _W4_RELABELLED],
+    ids=["wheel:4", "Gn:4", "wheel:4-relabelled"],
+)
+def test_admissible_at_q_reports_each_field_as_a_call_of_its_own(G):
+    F2, F3 = make_field(2), make_field(3)
+    both = admissible_at_q(G, [F2, F3])
+    alone = admissible_at_q(G, [F2]) + admissible_at_q(G, [F3])
+    assert [r.to_json() for r in both] == [r.to_json() for r in alone]
+
+
+def test_admissible_at_q_classifies_once_and_counts_per_field(monkeypatch):
+    # one scan for both fields: canonical_form once per label-free key,
+    # count_zeros once per class for each field
+    G = family("wheel", 4)
+    keys = {
+        (g.vertex_count, tuple(sorted(g.edges)))
+        for g in (subquotient(G, I, J) for I, J, _ in _scan_classes(G))
+    }
+    classes = {key for _, _, key in _scan_classes(G)}
+    forms = []
+
+    def form(gamma):
+        forms.append(gamma)
+        return canonical_form(gamma)
+
+    monkeypatch.setattr(invariants, "canonical_form", form)
+    calls = _counting(monkeypatch)
+    assert all(r.admissible for r in admissible_at_q(G, [make_field(2), make_field(3)]))
+    assert len(forms) == len(keys)
+    assert len(calls) == 2 * len(classes)
+
+
+def test_admissible_at_q_failing_field_keeps_the_next_report(monkeypatch):
+    G, F2, F3 = family("wheel", 4), make_field(2), make_field(3)
+    reference = admissible_at_q(G, [F3])[0].to_json()
+    examined = _scan_classes(G)
+    classes = list(dict.fromkeys(key for _, _, key in examined))
+    k = len(classes) // 2
+    first = next(i for i, (_, _, key) in enumerate(examined) if key == classes[k])
+    calls = []
+
+    def count(polys, F, n_vars, **kw):
+        calls.append(F.q)
+        if F.q == 2 and len(calls) == k + 1:
+            return CountReport.from_raw(1, F.q, n_vars)
+        return count_zeros(polys, F, n_vars, **kw)
+
+    monkeypatch.setattr(invariants, "count_zeros", count)
+    failed, passed = admissible_at_q(G, [F2, F3])
+    assert not failed.admissible and failed.examined == first + 1
+    assert passed.to_json() == reference
+    assert calls == [2] * (k + 1) + [3] * len(classes)
 
 
 def _structural_per_pair(G, planar=is_planar, girth=girth_at_most):
@@ -432,7 +488,7 @@ def test_scans_stop_at_the_same_pair_across_block_edges(monkeypatch, block):
         first = next(i for i, (_, _, key) in enumerate(examined) if key == classes[k])
         I, J, _ = examined[first]
         _counting(monkeypatch, fail_call=k + 1)
-        rep = admissible_at_q(G, F)
+        rep = admissible_at_q(G, [F])[0]
         assert (rep.failure, rep.examined) == ((frozenset(I), frozenset(J)), first + 1)
         assert rep.skipped_degenerate == pairs.index((I, J)) + 1 - rep.examined
     K = nonplanar_log_divergent()
@@ -502,6 +558,13 @@ def test_s_t_sums_equal():
     assert s_psi == s_phi
 
 
+def test_s_t_sums_without_pairs_are_exact_zeros():
+    # 2t > N_G: no disjoint pairs, so the empty sums, as integers
+    for G, t, q in ((family("path", 3), 2, 3), (family("cycle", 3), 2, 2)):
+        sums = s_t_sums(G, t, make_field(q))
+        assert sums == (0, 0) and all(type(x) is int for x in sums)
+
+
 def _s_t_pairs(G, t):
     labels = sorted(G.labels)
     for I in itertools.combinations(labels, t):
@@ -553,7 +616,7 @@ def test_scans_count_subquotient_classes_without_dodgson_minors(monkeypatch):
     s_psi, s_phi = s_t_sums(G, 2, F)
     assert s_psi == s_phi
     assert len(calls) == 2 * len(classes) == 12  # of 420 pairs
-    assert admissible_at_q(G, F).admissible
+    assert admissible_at_q(G, [F])[0].admissible
 
 
 def test_verify_registry():
