@@ -16,7 +16,7 @@ import sys
 from . import corpus, io
 from .counting import count_reduced_fields, count_zeros, count_zeros_torus
 from .errors import DEFAULT_BUDGET, BadParameter, BudgetExceeded, C2LabError
-from .fields import make_field
+from .fields import FqField, make_field
 from .graphs import Graph, census, family, is_connected, spanning_trees
 from .invariants import (
     FIELD_FREE_THEOREMS,
@@ -41,9 +41,8 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    report = {"schema": SCHEMA, **report}
-    _write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", out_path)
+def _json(report: dict) -> str:
+    return json.dumps({"schema": SCHEMA, **report}, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _graph_from_args(args) -> tuple[str, Graph]:
@@ -60,7 +59,9 @@ def _graph_from_args(args) -> tuple[str, Graph]:
     raise BadParameter("a graph source is required (--graph-file or --family)")
 
 
-def _q_list(args) -> list[int]:
+def _fields(args) -> list[FqField]:
+    """The fields of ``--q``, every one built before the first count, so a
+    malformed or unsupported q is reported before any counting starts."""
     if not args.q:
         raise BadParameter("--q is required for this command")
     try:
@@ -69,171 +70,122 @@ def _q_list(args) -> list[int]:
         raise BadParameter(f"bad --q list {args.q!r}") from e
     if not qs:
         raise BadParameter("--q list is empty")
-    return qs
+    return [make_field(q) for q in qs]
 
 
 def _graph_json(gid: str, G: Graph) -> dict:
     return {"id": gid, **io.graph_to_json_dict(G)}
 
 
-def _cmd_poly(args) -> int:
+# Each _cmd_* returns (report, exit code): the report is the JSON body
+# without "schema" and "command", or the text of --format text.
+
+
+def _cmd_poly(args):
     gid, G = _graph_from_args(args)
     P = psi(G) if args.which == "psi" else phi(G)
     if args.format == "text":
-        _write(P.to_text() + "\n", args.out)
-        return 0
-    _emit(
-        {
-            "command": "poly",
-            "graph": _graph_json(gid, G),
-            "which": args.which,
-            "poly": P.to_json_terms(),
-        },
-        args.out,
-    )
-    return 0
+        return P.to_text() + "\n", 0
+    return {"graph": _graph_json(gid, G), "which": args.which, "poly": P.to_json_terms()}, 0
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     if args.method == "reduced" and args.torus:
         raise BadParameter("--torus counts by brute force only; drop --method reduced")
     gid, G = _graph_from_args(args)
+    fields = _fields(args)
     P = psi(G) if args.which == "psi" else phi(G)
-    fields = [make_field(q) for q in _q_list(args)]
     if args.method == "reduced":
         reports = count_reduced_fields(P, fields, G.edge_count, budget=args.budget)
     else:
         count = count_zeros_torus if args.torus else count_zeros
         reports = [count([P], F, G.edge_count, budget=args.budget) for F in fields]
-    results = [rep.to_json() for rep in reports]
-    _emit(
-        {
-            "command": "count",
-            "graph": _graph_json(gid, G),
-            "which": args.which,
-            "torus": bool(args.torus),
-            "method": args.method,
-            "results": results,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "graph": _graph_json(gid, G),
+        "which": args.which,
+        "torus": bool(args.torus),
+        "method": args.method,
+        "results": [rep.to_json() for rep in reports],
+    }, 0
 
 
-def _cmd_c2(args) -> int:
+def _cmd_c2(args):
     gid, G = _graph_from_args(args)
     spaces = ("param", "dual", "pos") if args.space == "all" else (args.space,)
-    results = []
-    for q in _q_list(args):
-        F = make_field(q)
-        v = c2_verdict(G, F, spaces, gid, budget=args.budget)
-        results.append(v.to_json())
-    _emit(
-        {"command": "c2", "graph": _graph_json(gid, G), "space": args.space, "results": results},
-        args.out,
-    )
-    return 0
+    results = [
+        c2_verdict(G, F, spaces, gid, budget=args.budget).to_json() for F in _fields(args)
+    ]
+    return {"graph": _graph_json(gid, G), "space": args.space, "results": results}, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     gid, G = _graph_from_args(args)
-    results = []
-    ok = True
-    if args.theorem in FIELD_FREE_THEOREMS:
-        rep = verify(args.theorem, G, None, budget=args.budget)
-        results.append(rep.to_json())
-        ok = ok and rep.passed
-    else:
-        for q in _q_list(args):
-            rep = verify(args.theorem, G, make_field(q), budget=args.budget)
-            results.append(rep.to_json())
-            ok = ok and rep.passed
-    _emit(
-        {
-            "command": "verify",
-            "graph": _graph_json(gid, G),
-            "theorem": args.theorem,
-            "passed": ok,
-            "results": results,
-        },
-        args.out,
-    )
-    return 0 if ok else 1
+    # the census statements take no field and are checked once
+    fields = [None] if args.theorem in FIELD_FREE_THEOREMS else _fields(args)
+    reports = [verify(args.theorem, G, F, budget=args.budget) for F in fields]
+    ok = all(rep.passed for rep in reports)
+    return {
+        "graph": _graph_json(gid, G),
+        "theorem": args.theorem,
+        "passed": ok,
+        "results": [rep.to_json() for rep in reports],
+    }, 0 if ok else 1
 
 
-def _cmd_admissible(args) -> int:
+def _cmd_admissible(args):
     gid, G = _graph_from_args(args)
     if args.mode == "structural":
         reports = [admissible_structural(G, budget=args.budget)]
     else:
-        fields = [make_field(q) for q in _q_list(args)]
-        reports = admissible_at_q(G, fields, budget=args.budget)
-    _emit(
-        {
-            "command": "admissible",
-            "graph": _graph_json(gid, G),
-            "mode": args.mode,
-            "results": [rep.to_json() for rep in reports],
-        },
-        args.out,
-    )
-    return 0
+        reports = admissible_at_q(G, _fields(args), budget=args.budget)
+    return {
+        "graph": _graph_json(gid, G),
+        "mode": args.mode,
+        "results": [rep.to_json() for rep in reports],
+    }, 0
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     gid, G = _graph_from_args(args)
     r, r_bar = census(G, args.u, args.v)
-    _emit(
-        {
-            "command": "census",
-            "graph": _graph_json(gid, G),
-            "u": args.u,
-            "v": args.v,
-            "r": str(r),
-            "r_bar": str(r_bar),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "graph": _graph_json(gid, G),
+        "u": args.u,
+        "v": args.v,
+        "r": str(r),
+        "r_bar": str(r_bar),
+    }, 0
 
 
-def _cmd_diag(args) -> int:
+def _cmd_diag(args):
     gid, G = _graph_from_args(args)
     if args.tree:
         T = frozenset(io.parse_int(x, "tree label") for x in args.tree.split(","))
     else:
         T = spanning_trees(G)[0]
     d = diagonalize_wrt_tree(G, T)
-    _emit(
-        {
-            "command": "diag",
-            "graph": _graph_json(gid, G),
-            "tree": sorted(T),
-            "ops": [[op.source, op.target] for op in d.ops],
-            "vertex_order": list(d.vertex_order),
-            "tree_order": list(d.tree_order),
-            "root": d.root,
-            "matrix": [[e.to_text() for e in row] for row in d.matrix.entries],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "graph": _graph_json(gid, G),
+        "tree": sorted(T),
+        "ops": [[op.source, op.target] for op in d.ops],
+        "vertex_order": list(d.vertex_order),
+        "tree_order": list(d.tree_order),
+        "root": d.root,
+        "matrix": [[e.to_text() for e in row] for row in d.matrix.entries],
+    }, 0
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args):
     gid, G = _graph_from_args(args)
     if args.format == "text":
-        _write(io.graph_to_text(G), args.out)
-        return 0
-    report = {"command": "family", "graph": _graph_json(gid, G)}
-    report["planar"] = is_planar(G)
+        return io.graph_to_text(G), 0
+    report = {"graph": _graph_json(gid, G), "planar": is_planar(G)}
     if report["planar"] and is_connected(G):
         report["dual"] = io.graph_to_json_dict(planar_dual(G))
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_seed_corpus(args) -> int:
+def _cmd_seed_corpus(args):
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
     for name, G in corpus.named_graphs().items():
@@ -241,8 +193,7 @@ def _cmd_seed_corpus(args) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(io.graph_to_text(G))
         written.append(path)
-    _emit({"command": "seed-corpus", "files": sorted(written)}, args.out)
-    return 0
+    return {"files": sorted(written)}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,16 +285,19 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "budget", 0) < 0:
             raise BadParameter(f"--budget must be 0 or more, not {args.budget}")
-        return args.fn(args)
+        report, code = args.fn(args)
+        if isinstance(report, dict):
+            report = _json({"command": args.command, **report})
+        _write(report, args.out)
+        return code
     except BudgetExceeded as e:
-        _emit({"command": args.command, "error": {"code": e.code, "message": str(e)}}, None)
-        return 3
+        code, error = 3, {"code": e.code, "message": str(e)}
     except C2LabError as e:
-        _emit({"command": args.command, "error": {"code": e.code, "message": str(e)}}, None)
-        return 2
+        code, error = 2, {"code": e.code, "message": str(e)}
     except OSError as e:
-        _emit({"command": args.command, "error": {"code": "IOError", "message": str(e)}}, None)
-        return 2
+        code, error = 2, {"code": "IOError", "message": str(e)}
+    _write(_json({"command": args.command, "error": error}), None)
+    return code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ def named_graphs() -> dict[str, Graph]:
     out["diamond_pendant"] = Graph(((1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)), 5)
     out["two_triangles_vertex"] = Graph(((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)), 5)
     out["two_triangles_edge"] = Graph(((1, 2), (1, 3), (2, 3), (1, 4), (3, 4)), 4)
-    out["theta"] = Graph(((1, 2), (1, 2), (1, 3), (2, 3)), 3)
     out["triangle_loop"] = Graph(((1, 2), (1, 3), (2, 3), (2, 2)), 3)
     out["triangle_double"] = Graph(((1, 2), (1, 2), (1, 3), (2, 3)), 3)
     out["bowtie_loops"] = Graph(((1, 1), (1, 2), (1, 2), (2, 2)), 2)

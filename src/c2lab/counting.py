@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -82,15 +82,7 @@ class CountReport:
         return CountReport(raw, q, n_vars, raw % q, raw % q**2, raw % q**3, quot)
 
     def to_json(self) -> dict:
-        return {
-            "raw": str(self.raw),
-            "q": self.q,
-            "n_vars": self.n_vars,
-            "mod_q": self.mod_q,
-            "mod_q2": self.mod_q2,
-            "mod_q3": self.mod_q3,
-            "quotient_c2": self.quotient_c2,
-        }
+        return asdict(replace(self, raw=str(self.raw)))
 
 
 def _check_budget(q: int, n_vars: int, budget: int | None):

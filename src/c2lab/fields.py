@@ -14,23 +14,12 @@ import numpy as np
 
 from .errors import UnsupportedQ
 
-SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13)
-
-_PRIMES = {2, 3, 5, 7, 11, 13}
-
-
-def _factor_prime_power(q: int):
-    for p in sorted(_PRIMES):
-        if q % p == 0:
-            s = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                s += 1
-            if m == 1:
-                return p, s
-            return None
-    return None
+# q -> (p, s) with q = p^s, for every supported q
+_PRIME_POWERS = {
+    2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+    8: (2, 3), 9: (3, 2), 11: (11, 1), 13: (13, 1),
+}
+SUPPORTED_Q = tuple(_PRIME_POWERS)
 
 
 def _poly_from_code(code: int, p: int, s: int) -> tuple:
@@ -56,17 +45,15 @@ def _poly_mul_mod(a, b, irr, p):
 
 
 def _is_irreducible(irr, p) -> bool:
-    # Degrees 2 and 3 are reducible iff they have a root in F_p.
-    s = len(irr) - 1
-    if s in (2, 3):
-        for x in range(p):
-            acc = 0
-            for c in reversed(irr):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                return False
-        return True
-    raise UnsupportedQ(f"irreducibility test not wired for degree {s}")
+    # Every supported prime power has degree 2 or 3, and those are
+    # reducible iff they have a root in F_p.
+    for x in range(p):
+        acc = 0
+        for c in reversed(irr):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            return False
+    return True
 
 
 def _least_irreducible(p: int, s: int) -> tuple:
@@ -74,7 +61,6 @@ def _least_irreducible(p: int, s: int) -> tuple:
         irr = _poly_from_code(code, p, s) + (1,)
         if _is_irreducible(irr, p):
             return irr
-    raise UnsupportedQ(f"no irreducible of degree {s} over F_{p}")
 
 
 class FqField:
@@ -189,10 +175,7 @@ def make_field(q: int, irreducible: tuple | None = None) -> FqField:
     """
     if q not in SUPPORTED_Q:
         raise UnsupportedQ(f"q={q} outside supported set {SUPPORTED_Q}")
-    fact = _factor_prime_power(q)
-    if fact is None:
-        raise UnsupportedQ(f"q={q} is not a prime power")
-    p, s = fact
+    p, s = _PRIME_POWERS[q]
     if s == 1:
         if irreducible is not None:
             raise UnsupportedQ("irreducible override only applies to prime powers")

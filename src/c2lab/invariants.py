@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -129,19 +129,7 @@ class AdmissibilityReport:
     failure_detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "mode": self.mode,
-            "q": self.q,
-            "examined": self.examined,
-            "skipped_degenerate": self.skipped_degenerate,
-            "planar_shortcut": self.planar_shortcut,
-            "condition_counts": dict(sorted(self.condition_counts.items())),
-            "failure": [sorted(self.failure[0]), sorted(self.failure[1])]
-            if self.failure
-            else None,
-            "failure_detail": self.failure_detail,
-        }
+        return asdict(replace(self, failure=self.failure and [sorted(s) for s in self.failure]))
 
 
 def _log_divergent_guard(G: Graph):
@@ -335,12 +323,7 @@ class VerifyReport:
     details: dict
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "passed": self.passed,
-            "q": self.q,
-            "details": {k: _jsonable(v) for k, v in sorted(self.details.items())},
-        }
+        return asdict(replace(self, details=_jsonable(self.details)))
 
 
 def _jsonable(v):
@@ -356,14 +339,18 @@ def _jsonable(v):
 
 
 def verify(theorem: str, G: Graph, F: FqField | None = None, *, budget=None) -> VerifyReport:
-    """Recompute both sides of a named statement and report the comparison."""
+    """Recompute both sides of a named statement and report the comparison.
+    Each check of ``_THEOREMS`` returns (passed, details); the census
+    statements (``FIELD_FREE_THEOREMS``) take no field and report q as None."""
     fn = _THEOREMS.get(theorem)
     if fn is None:
         raise PreconditionUnmet(
             f"unknown theorem {theorem!r}; known: {sorted(_THEOREMS)}"
         )
-    _require(F is not None or theorem in FIELD_FREE_THEOREMS, "this verification needs a field")
-    return fn(G, F, budget=budget)
+    field_free = theorem in FIELD_FREE_THEOREMS
+    _require(F is not None or field_free, "this verification needs a field")
+    passed, details = fn(G, F, budget=budget)
+    return VerifyReport(theorem, passed, None if field_free else F.q, details)
 
 
 def _v_thm2(G, F, *, budget):
@@ -371,7 +358,7 @@ def _v_thm2(G, F, *, budget):
     _require(G.h >= 2 and G.n >= 2, "Thm2 needs h_G, n_G >= 2")
     a = c2_param(G, F, budget=budget)
     b = c2_dual(G, F, budget=budget)
-    return VerifyReport("Thm2", a == b, F.q, {"c2_param": a, "c2_dual": b})
+    return a == b, {"c2_param": a, "c2_dual": b}
 
 
 def _v_sec3(G, F, *, budget):
@@ -379,43 +366,35 @@ def _v_sec3(G, F, *, budget):
     N, n = G.edge_count, G.n
     if N < 2 * n:
         a = c2_pos(G, F, budget=budget)
-        return VerifyReport("Sec3Thm", a == 0, F.q, {"case": "N < 2n", "c2_pos": a})
+        return a == 0, {"case": "N < 2n", "c2_pos": a}
     _require(N == 2 * n, "needs N_G <= 2 n_G")
     a = c2_pos(G, F, budget=budget)
     b = c2_dual(G, F, budget=budget)
-    return VerifyReport(
-        "Sec3Thm", a == b, F.q, {"case": "N = 2n", "c2_pos": a, "c2_dual": b}
-    )
+    return a == b, {"case": "N = 2n", "c2_pos": a, "c2_dual": b}
 
 
 def _v_thm20(G, F, *, budget):
     _require(G.h >= 2, "thm20 needs at least two loops")
     rep = sing_count(G, F, "jacobian", budget=budget)
-    return VerifyReport(
-        "thm20", rep.raw % F.q == 0, F.q, {"sing_count": rep.raw, "mod_q": rep.mod_q}
-    )
+    return rep.raw % F.q == 0, {"sing_count": rep.raw, "mod_q": rep.mod_q}
 
 
 def _v_prop1(G, F, *, budget):
     _require(G.h >= 2, "Prop1 needs at least two loops")
     rep = count_zeros([phi(G)], F, G.edge_count, budget=budget)
-    return VerifyReport(
-        "Prop1", rep.raw % F.q**2 == 0, F.q, {"phi_count": rep.raw, "mod_q2": rep.mod_q2}
-    )
+    return rep.raw % F.q**2 == 0, {"phi_count": rep.raw, "mod_q2": rep.mod_q2}
 
 
 def _v_c216(G, F, *, budget):
     lhs = quadric_union_count(G, F, budget=budget).raw % F.q**3
     rhs = quadric_congruence_rhs(G, F, budget=budget)
-    return VerifyReport("c216", lhs == rhs, F.q, {"lhs_mod_q3": lhs, "rhs_mod_q3": rhs})
+    return lhs == rhs, {"lhs_mod_q3": lhs, "rhs_mod_q3": rhs}
 
 
 def _v_c220(G, F, *, budget):
     _require(G.edge_count <= 2 * G.n and G.n >= 2, "c220 needs N <= 2n, n >= 2")
     rep = quadric_union_count(G, F, budget=budget)
-    return VerifyReport(
-        "c220", rep.raw % F.q**2 == 0, F.q, {"raw": rep.raw, "mod_q2": rep.mod_q2}
-    )
+    return rep.raw % F.q**2 == 0, {"raw": rep.raw, "mod_q2": rep.mod_q2}
 
 
 def _v_prop34(G, F, *, budget):
@@ -432,7 +411,7 @@ def _v_prop34(G, F, *, budget):
         expect = math.comb(G.n, u) * trees
         details[f"r(0,{u})"] = r
         ok = ok and r == expect
-    return VerifyReport("prop34", ok, None, details)
+    return ok, details
 
 
 def _v_cor35(G, F, *, budget):
@@ -444,7 +423,7 @@ def _v_cor35(G, F, *, budget):
         b, _ = census(G, 0, u, budget=budget)
         details[f"u={u}"] = [a, b]
         ok = ok and a == b
-    return VerifyReport("cor35", ok, None, details)
+    return ok, details
 
 
 def lem36_closed_forms(n: int) -> tuple[int, int]:
@@ -476,12 +455,8 @@ def _v_lem36(G, F, *, budget):
     r12, _ = census(G, 1, 2, budget=budget)
     r21, _ = census(G, 2, 1, budget=budget)
     e12, e21 = lem36_closed_forms(n)
-    return VerifyReport(
-        "lem36",
-        r12 == e12 and r21 == e21,
-        None,
-        {"r12": r12, "r12_formula": e12, "r21": r21, "r21_formula": e21, "n": n},
-    )
+    details = {"r12": r12, "r12_formula": e12, "r21": r21, "r21_formula": e21, "n": n}
+    return r12 == e12 and r21 == e21, details
 
 
 def _v_p4(G, F, *, budget):
@@ -490,7 +465,7 @@ def _v_p4(G, F, *, budget):
     _require(tri is not None, "p4 needs a triangle")
     a = c2_dual_triangle(G, tri, F, budget=budget)
     b = c2_dual(G, F, budget=budget)
-    return VerifyReport("p4", a == b, F.q, {"triangle": sorted(tri), "reduced": a, "c2_dual": b})
+    return a == b, {"triangle": sorted(tri), "reduced": a, "c2_dual": b}
 
 
 def _find_triangle(G: Graph):
@@ -526,7 +501,7 @@ FIELD_FREE_THEOREMS = frozenset({"prop34", "cor35", "lem36"})
 
 @dataclass
 class C2Verdict:
-    graph_id: str
+    graph: str
     q: int
     c2_param: int | None = None
     c2_param_reason: str = ""
@@ -537,17 +512,7 @@ class C2Verdict:
     c2_pos_quotient_mod_q3: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "graph": self.graph_id,
-            "q": self.q,
-            "c2_param": self.c2_param,
-            "c2_param_reason": self.c2_param_reason,
-            "c2_dual": self.c2_dual,
-            "c2_dual_reason": self.c2_dual_reason,
-            "c2_pos": self.c2_pos,
-            "c2_pos_reason": self.c2_pos_reason,
-            "c2_pos_quotient_mod_q3": self.c2_pos_quotient_mod_q3,
-        }
+        return asdict(self)
 
 
 def _leg(fn, *args, **kwargs):
@@ -562,7 +527,7 @@ def c2_verdict(
     G: Graph,
     F: FqField,
     spaces=("param", "dual", "pos"),
-    graph_id: str = "",
+    graph: str = "",
     *,
     budget=None,
 ) -> C2Verdict:
@@ -572,7 +537,7 @@ def c2_verdict(
     count is not divisible by q^2, or whose enumeration exceeds the budget
     records that as its reason and keeps the other legs' values.
     """
-    v = C2Verdict(graph_id=graph_id, q=F.q)
+    v = C2Verdict(graph=graph, q=F.q)
     if "param" in spaces:
         v.c2_param, v.c2_param_reason = _leg(c2_param, G, F, budget=budget)
     if "dual" in spaces:

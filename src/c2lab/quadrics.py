@@ -52,6 +52,9 @@ from .graphs import Graph, delete, incidence, is_connected
 from .matform import PolyMatrix, gram_matrix, p_matrix
 from .multipoly import MLPoly, phi
 
+# The most points the direct per-point oracle loops over.
+_DIRECT_LIMIT = 1 << 20
+
 
 def _quadric_poly(row) -> MLPoly:
     """The quadric y^0 y^1 + y^2 y^3 of y = sum_i c_i x_i over an incidence
@@ -104,11 +107,11 @@ def quadric_union_count_walk(G: Graph, F: FqField, *, budget: int | None = None)
     return CountReport.from_raw(raw, F.q, m)
 
 
-def quadric_union_count_direct(G: Graph, F: FqField, limit: int = 1 << 20) -> int:
+def quadric_union_count_direct(G: Graph, F: FqField) -> int:
     """Independent oracle: one plain Python loop over every lattice point."""
     n = G.n
     m = 4 * n
-    if F.q**m > limit:
+    if F.q**m > _DIRECT_LIMIT:
         raise PreconditionUnmet("direct quadric oracle is for tiny inputs only")
     pinned = G.vertex_count
     count = 0

@@ -8,6 +8,8 @@ import pytest
 from c2lab import invariants, io
 from c2lab.cli import main
 from c2lab.corpus import named_graphs, nonplanar_log_divergent
+from c2lab.counting import count_zeros
+from c2lab.fields import make_field
 from c2lab.graphs import Graph, family
 from c2lab.multipoly import MLPoly, phi, psi
 
@@ -88,7 +90,7 @@ def test_cli_verify_pass_and_fail(capsys, monkeypatch):
     monkeypatch.setitem(
         invariants._THEOREMS,
         "lem36",
-        lambda G, F, **kw: invariants.VerifyReport("lem36", False, None, {}),
+        lambda G, F, **kw: (False, {}),
     )
     code, out = run_cli(capsys, "verify", "--theorem", "lem36", "--family", "Gn:3")
     assert code == 1
@@ -290,6 +292,67 @@ def test_cli_at_q_checks_every_q_before_the_scan(capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "UnsupportedQ"
+
+
+def test_cli_unwritable_out_reports_an_io_error(capsys, tmp_path):
+    for argv in (["count", "--family", "wheel:3", "--q", "2"], ["poly", "--family", "cycle:3"]):
+        path = tmp_path / "missing" / "report.json"
+        code, out = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2, argv
+        assert json.loads(out) == {
+            "schema": "c2lab/1",
+            "command": argv[0],
+            "error": {"code": "IOError", "message": f"[Errno 2] No such file or directory: '{path}'"},
+        }
+
+
+@pytest.mark.parametrize("qs", ["2,6", "6,2"])
+def test_cli_verify_checks_every_q_before_counting(capsys, qs):
+    # the count at q = 2 exceeds the budget, so only a check before it sees q = 6
+    argv = ["verify", "--theorem", "Thm2", "--family", "wheel:4", "--q", qs, "--budget", "5"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "UnsupportedQ"
+
+
+def test_cli_c2_checks_every_q_before_counting(capsys, monkeypatch):
+    calls = []
+
+    def counted(real):
+        def count(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return count
+
+    for name in ("count_zeros", "quadric_union_count"):
+        monkeypatch.setattr(invariants, name, counted(getattr(invariants, name)))
+    code, out = run_cli(capsys, "c2", "--family", "wheel:4", "--q", "2,6")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "UnsupportedQ"
+    assert calls == []
+    assert run_cli(capsys, "c2", "--family", "wheel:4", "--q", "2")[0] == 0
+    assert len(calls) == 3  # the counter does see the counts of a valid --q
+
+
+def test_report_keys_are_fixed():
+    # a field added to a report class must not slip into the JSON unnoticed
+    F, W4 = make_field(2), family("wheel", 4)
+    count = count_zeros([psi(W4)], F, W4.edge_count)
+    assert set(count.to_json()) == {
+        "raw", "q", "n_vars", "mod_q", "mod_q2", "mod_q3", "quotient_c2",
+    }
+    admissibility = {
+        "admissible", "mode", "q", "examined", "skipped_degenerate", "planar_shortcut",
+        "condition_counts", "failure", "failure_detail",
+    }
+    assert set(invariants.admissible_structural(W4).to_json()) == admissibility
+    assert set(invariants.admissible_at_q(W4, [F])[0].to_json()) == admissibility
+    assert set(invariants.verify("Thm2", W4, F).to_json()) == {"theorem", "passed", "q", "details"}
+    assert set(invariants.c2_verdict(W4, F, graph="wheel:4").to_json()) == {
+        "graph", "q", "c2_param", "c2_param_reason", "c2_dual", "c2_dual_reason",
+        "c2_pos", "c2_pos_reason", "c2_pos_quotient_mod_q3",
+    }
 
 
 def test_cli_thread_determinism(capsys, tmp_path):

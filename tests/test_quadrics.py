@@ -163,7 +163,7 @@ def test_prop_p14_identity(q):
                 assert lhs == rhs, (G.edges, I)
 
 
-@pytest.mark.parametrize("name", ("triangle_loop", "theta"))
+@pytest.mark.parametrize("name", ("triangle_loop", "triangle_double"))
 @pytest.mark.parametrize("q", (2, 3))
 def test_system_count_matches_pointwise_loop(name, q, corpus):
     # a self-loop's quadric constrains nothing; parallel edges repeat one

@@ -1,5 +1,6 @@
-"""The benchmark's tracer wraps c2lab functions by (module, function) name,
-so a rename must fail here rather than in a traced benchmark run."""
+"""The benchmark's tracer wraps c2lab functions by (module, function) name
+and reads the ``cache_info`` of some of them, so a rename or a dropped
+cache must fail here rather than in a traced benchmark run."""
 
 import ast
 import importlib
@@ -8,18 +9,18 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _targets():
-    """TARGETS of perfbench/tracing.py, read from its source, not imported."""
+def _constant(name):
+    """A constant of perfbench/tracing.py, read from its source, not imported."""
     for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+    raise AssertionError(f"perfbench/tracing.py defines no {name}")
 
 
 def test_every_traced_target_resolves_in_c2lab():
-    targets = _targets()
+    targets = _constant("TARGETS")
     assert ("graphs", "census") in targets and ("graphs", "subquotient") in targets
     for scan in ("admissible_at_q", "admissible_structural", "s_t_sums"):
         assert ("invariants", scan) in targets
@@ -27,5 +28,18 @@ def test_every_traced_target_resolves_in_c2lab():
         f"{module}.{name}"
         for module, name in targets
         if not callable(getattr(importlib.import_module(f"c2lab.{module}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_every_cached_target_has_cache_info():
+    # the tracer reads cache_info() of each CACHED name, found by its TARGETS entry
+    modules = {name: module for module, name in _constant("TARGETS")}
+    cached = _constant("CACHED")
+    assert set(cached) <= set(modules)
+    missing = [
+        name
+        for name in cached
+        if not hasattr(getattr(importlib.import_module(f"c2lab.{modules[name]}"), name), "cache_info")
     ]
     assert missing == []
