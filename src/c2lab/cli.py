@@ -120,8 +120,12 @@ def _cmd_c2(args):
 
 def _cmd_verify(args):
     gid, G = _graph_from_args(args)
-    # the census statements take no field and are checked once
-    fields = [None] if args.theorem in FIELD_FREE_THEOREMS else _fields(args)
+    if args.q or args.theorem not in FIELD_FREE_THEOREMS:
+        fields = _fields(args)
+    if args.theorem in FIELD_FREE_THEOREMS:
+        # the census statements take no field and are checked once; a --q
+        # given to them is still parsed and built, so a bad one exits 2
+        fields = [None]
     reports = [verify(args.theorem, G, F, budget=args.budget) for F in fields]
     ok = all(rep.passed for rep in reports)
     return {

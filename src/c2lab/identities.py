@@ -110,15 +110,27 @@ def _e101(G: Graph, indices, pair) -> IdentityResult:
     return IdentityResult("e101", lhs == rhs)
 
 
+def _first_signs(n: int, holds):
+    """The first tuple of n signs, in the product order below (all +1 first,
+    the last sign varying fastest), for which ``holds(signs)`` is true, or
+    None if none is.  The order decides the reported witness wherever
+    several hold.  For n = 0 the one tuple is (), a witness like any other."""
+    return next((s for s in itertools.product((1, -1), repeat=n) if holds(s)), None)
+
+
+def _found(name: str, signs, *keys) -> IdentityResult:
+    """name's result for the signs of ``_first_signs``, each under its key."""
+    if signs is None:
+        return IdentityResult(name, False)
+    return IdentityResult(name, True, dict(zip(keys, signs)))
+
+
 def _c14(G: Graph, indices, pair) -> IdentityResult:
     i, j = _get(indices, "i"), _get(indices, "j")
     fij, fi_j, f_ij, f_i_j = _phi_split2(G, i, j)
     rhs = pair({i}, {j}) ** 2
-    lhs_main = fi_j * f_ij
-    for s in (1, -1):
-        if lhs_main + s * (fij * f_i_j) == rhs:
-            return IdentityResult("c14", True, {"sign": s})
-    return IdentityResult("c14", False)
+    lhs_main, lhs_signed = fi_j * f_ij, fij * f_i_j
+    return _found("c14", _first_signs(1, lambda s: lhs_main + s[0] * lhs_signed == rhs), "sign")
 
 
 def _c15(G: Graph, indices, pair) -> IdentityResult:
@@ -128,48 +140,43 @@ def _c15(G: Graph, indices, pair) -> IdentityResult:
     fj = f.coeff_and_rest(j)[0]
     fij, fi_j, f_ij, f_i_j = _phi_split2(G, i, j)
     rhs = pair({i}, {j}) ** 2
-    for s in (1, -1):
-        first = fj * fi + s * (fij * f)
-        second = fi_j * f_ij + s * (fij * f_i_j)
-        if first == second == rhs:
-            return IdentityResult("c15", True, {"sign": s})
-    return IdentityResult("c15", False)
+    first, first_signed = fj * fi, fij * f
+    second, second_signed = fi_j * f_ij, fij * f_i_j
+
+    def holds(s):
+        return first + s[0] * first_signed == second + s[0] * second_signed == rhs
+
+    return _found("c15", _first_signs(1, holds), "sign")
+
+
+def _dodgson(name: str, indices, pair, terms) -> IdentityResult:
+    """c18 or c20: t1 + s2 * t2 = s3 * rhs, where ``terms(I | K, J | K, S,
+    a, b, x)`` gives the two phi^{A,B}_C index triples of t1, t2 and rhs."""
+    I, J, S, K = (frozenset(indices.get(key, ())) for key in "IJSK")
+    if name == "c20" and len(J) != len(I) + 1:
+        raise BadIndices("c20 needs |J| = |I| + 1")
+    a, b, x = (_get(indices, key) for key in "abx")
+    t1, t2, rhs = (pair(*A) * pair(*B) for A, B in terms(I | K, J | K, S, a, b, x))
+    # sign of each product depends on row/column conventions: resolve both
+    # the relative sign of the left terms and the right-hand sign
+    signs = _first_signs(2, lambda s: t1 + s[0] * t2 == s[1] * rhs)
+    return _found(name, signs, "lhs_sign", "rhs_sign")
 
 
 def _c18(G: Graph, indices, pair) -> IdentityResult:
-    I = frozenset(indices.get("I", ()))
-    J = frozenset(indices.get("J", ()))
-    S = frozenset(indices.get("S", ()))
-    K = frozenset(indices.get("K", ()))
-    a, b, x = _get(indices, "a"), _get(indices, "b"), _get(indices, "x")
-    IK, JK = I | K, J | K
-    t1 = pair(IK | {x}, JK | {x}, S) * pair(IK | {a}, JK | {b}, S | {x})
-    t2 = pair(IK, JK, S | {x}) * pair(IK | {a, x}, JK | {b, x}, S)
-    rhs = pair(IK | {x}, JK | {b}, S) * pair(IK | {a}, JK | {x}, S)
-    # sign of each product depends on row/column conventions: resolve both
-    # the relative sign of the left terms and the right-hand sign
-    for s2, s3 in itertools.product((1, -1), repeat=2):
-        if t1 + s2 * t2 == s3 * rhs:
-            return IdentityResult("c18", True, {"lhs_sign": s2, "rhs_sign": s3})
-    return IdentityResult("c18", False)
+    return _dodgson("c18", indices, pair, lambda IK, JK, S, a, b, x: (
+        ((IK | {x}, JK | {x}, S), (IK | {a}, JK | {b}, S | {x})),
+        ((IK, JK, S | {x}), (IK | {a, x}, JK | {b, x}, S)),
+        ((IK | {x}, JK | {b}, S), (IK | {a}, JK | {x}, S)),
+    ))
 
 
 def _c20(G: Graph, indices, pair) -> IdentityResult:
-    I = frozenset(indices.get("I", ()))
-    J = frozenset(indices.get("J", ()))
-    S = frozenset(indices.get("S", ()))
-    K = frozenset(indices.get("K", ()))
-    if len(J) != len(I) + 1:
-        raise BadIndices("c20 needs |J| = |I| + 1")
-    a, b, x = _get(indices, "a"), _get(indices, "b"), _get(indices, "x")
-    IK, JK = I | K, J | K
-    t1 = pair(IK | {a, x}, JK | {x}, S) * pair(IK | {b}, JK, S | {x})
-    t2 = pair(IK | {a}, JK, S | {x}) * pair(IK | {b, x}, JK | {x}, S)
-    rhs = pair(IK | {x}, JK, S) * pair(IK | {a, b}, JK | {x}, S)
-    for s2, s3 in itertools.product((1, -1), repeat=2):
-        if t1 + s2 * t2 == s3 * rhs:
-            return IdentityResult("c20", True, {"lhs_sign": s2, "rhs_sign": s3})
-    return IdentityResult("c20", False)
+    return _dodgson("c20", indices, pair, lambda IK, JK, S, a, b, x: (
+        ((IK | {a, x}, JK | {x}, S), (IK | {b}, JK, S | {x})),
+        ((IK | {a}, JK, S | {x}), (IK | {b, x}, JK | {x}, S)),
+        ((IK | {x}, JK, S), (IK | {a, b}, JK | {x}, S)),
+    ))
 
 
 def _c100(G: Graph, indices, pair) -> IdentityResult:
@@ -195,13 +202,12 @@ def _c101(G: Graph, indices, pair) -> IdentityResult:
 
 
 def _lambda_search(name: str, target: MLPoly, parts) -> IdentityResult:
-    for signs in itertools.product((1, -1), repeat=len(parts)):
-        acc = MLPoly.zero()
-        for s, p in zip(signs, parts):
-            acc = acc + s * p
-        if acc == target:
-            return IdentityResult(name, True, {"lambda": list(signs)})
-    return IdentityResult(name, False)
+    def holds(signs):
+        return sum((s * p for s, p in zip(signs, parts)), MLPoly.zero()) == target
+
+    signs = _first_signs(len(parts), holds)
+    # no other edge (parts == []) still gives a witness: the empty lambda
+    return IdentityResult(name, signs is not None, {} if signs is None else {"lambda": list(signs)})
 
 
 def _cor7(G: Graph, indices, pair) -> IdentityResult:
@@ -213,11 +219,7 @@ def _cor7(G: Graph, indices, pair) -> IdentityResult:
     fik, fi_k = fi.coeff_and_rest(k)
     lhs = pair({i}, {k}) ** 2
     rhs = fk * fi_k - f_k * fik
-    if lhs == rhs:
-        return IdentityResult("cor7", True, {"sign": 1})
-    if lhs == -rhs:
-        return IdentityResult("cor7", True, {"sign": -1})
-    return IdentityResult("cor7", False)
+    return _found("cor7", _first_signs(1, lambda s: lhs == s[0] * rhs), "sign")
 
 
 # Candidate right-hand sides for the resultant lemma [phi^i, phi^j]_k, whose
@@ -253,12 +255,7 @@ def resultant_lemma_variants(G: Graph, i: int, j: int, k: int) -> dict:
         except BadIndices:
             out[name] = None
             continue
-        found = None
-        for s1, s2 in itertools.product((1, -1), repeat=2):
-            if lhs == s1 * t1 + s2 * t2:
-                found = (s1, s2)
-                break
-        out[name] = found
+        out[name] = _first_signs(2, lambda s: lhs == s[0] * t1 + s[1] * t2)
     return out
 
 

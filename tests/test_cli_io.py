@@ -56,6 +56,14 @@ def test_cli_poly_text(capsys):
     assert out.strip() == "+1*a1 +1*a2 +1*a3"
 
 
+def test_cli_poly_json(capsys):
+    G = family("wheel", 3)
+    for which, P in (("psi", psi(G)), ("phi", phi(G))):
+        code, out = run_cli(capsys, "poly", "--family", "wheel:3", "--which", which, "--format", "json")
+        assert code == 0
+        assert MLPoly.from_json_terms(json.loads(out)["poly"]) == P, which
+
+
 def test_cli_poly_keeps_labels_beyond_64(capsys):
     code, out = run_cli(capsys, "poly", "--family", "cycle:70")
     assert code == 0
@@ -96,6 +104,20 @@ def test_cli_verify_pass_and_fail(capsys, monkeypatch):
     assert code == 1
     rep = json.loads(out)
     assert rep["passed"] is False
+
+
+@pytest.mark.parametrize("theorem", ["prop34", "cor35", "lem36"])
+def test_cli_verify_census_checks_a_given_q(capsys, theorem):
+    argv = ["verify", "--theorem", theorem, "--family", "Gn:3"]
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0
+    assert [r["q"] for r in json.loads(plain)["results"]] == [None]
+    # a valid --q changes nothing: the statement is still checked once
+    assert run_cli(capsys, *argv, "--q", "2,3") == (0, plain)
+    for qs, error in (("2,x", "BadParameter"), ("6", "UnsupportedQ")):
+        code, out = run_cli(capsys, *argv, "--q", qs)
+        assert code == 2, qs
+        assert json.loads(out)["error"]["code"] == error
 
 
 def test_cli_census(capsys):
@@ -392,6 +414,12 @@ def test_cli_family_json(capsys):
     assert rep["planar"] is True
     assert rep["graph"]["vertices"] == 3
     assert "dual" in rep
+
+
+def test_cli_family_text(capsys):
+    code, out = run_cli(capsys, "family", "--family", "wheel:4", "--format", "text")
+    assert code == 0
+    assert io.graph_from_text(out) == family("wheel", 4)
 
 
 @pytest.mark.parametrize("preset", (None, "2"))

@@ -57,6 +57,35 @@ def test_c15_resolved_sign_is_minus_on_k4():
     assert r.holds and r.witness["sign"] == -1
 
 
+@pytest.mark.parametrize(
+    "name, edges, indices, witness",
+    [
+        ("c14", ((1, 2), (1, 1)), {"i": 1, "j": 2}, {"sign": 1}),
+        ("cor7", ((1, 2), (1, 1)), {"i": 1, "k": 2}, {"sign": 1}),
+        (
+            "c18",
+            ((1, 2), (1, 1), (1, 1)),
+            {"I": (), "J": (), "S": (), "K": (), "a": 1, "b": 2, "x": 3},
+            {"lhs_sign": 1, "rhs_sign": 1},
+        ),
+        (
+            "c20",
+            ((1, 2), (1, 1), (1, 1), (1, 1)),
+            {"I": (), "J": (4,), "S": (), "K": (), "a": 1, "b": 2, "x": 3},
+            {"lhs_sign": 1, "rhs_sign": 1},
+        ),
+        ("c100", ((1, 2), (1, 3)), {"edges": (1, 2)}, {"lambda": [1]}),
+        ("c101", ((1, 1),), {"edges": (1,)}, {"lambda": []}),
+    ],
+)
+def test_witness_is_the_first_sign_assignment(name, edges, indices, witness):
+    # several assignments hold on each of these (c101's only one is empty):
+    # the reported one is the first in product order over (1, -1)
+    G = Graph(edges, max(max(e) for e in edges))
+    r = check_identity(name, G, indices)
+    assert r.holds and r.witness == witness
+
+
 def test_c18_c20_with_nonempty_sets():
     W4 = family("wheel", 4)
     r = check_identity(

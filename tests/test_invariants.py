@@ -4,7 +4,7 @@ import math
 import pytest
 
 from c2lab import graphs, invariants, multipoly
-from c2lab.corpus import nonplanar_log_divergent
+from c2lab.corpus import named_graphs, nonplanar_log_divergent
 from c2lab.counting import CountReport, count_zeros, count_zeros_torus
 from c2lab.errors import BudgetExceeded, NotATriangle, PreconditionUnmet, SelfLoopContraction
 from c2lab.fields import make_field
@@ -633,6 +633,20 @@ def test_verify_registry():
     assert verify("p4", K4, F2).passed
     with pytest.raises(PreconditionUnmet):
         verify("nope", K4, F2)
+
+
+@pytest.mark.parametrize(
+    "name, q",
+    [("square", 2), ("square", 3), ("square", 4), ("K4_minus_edge", 2), ("K4_minus_edge", 3)],
+)
+def test_sec3_below_twice_the_loop_number(name, q):
+    # N < 2n: c2 in position space is 0 (the pentagon, cycle:5, is past the
+    # default budget at q = 4)
+    G = named_graphs()[name]
+    assert G.edge_count < 2 * G.n
+    rep = verify("Sec3Thm", G, make_field(q))
+    assert rep.passed
+    assert rep.details["case"] == "N < 2n" and rep.details["c2_pos"] == 0
 
 
 def test_verify_lem36_reports_f19_mismatch():

@@ -235,6 +235,14 @@ def test_det_oracles_agree_on_p_matrices(corpus):
             continue
         entries = p_matrix(G).entries
         assert det_bareiss(entries) == det_permutation(entries), name
+    # P-matrix diagonals are never zero: these two take Bareiss's row swap
+    # and its zero-column return
+    z = MLPoly.zero()
+    for entries, det in (
+        ([[z, a(1), z], [a(2), z, z], [z, z, a(3)]], -(a(1) * a(2) * a(3))),
+        ([[z, a(1)], [z, a(2)]], z),
+    ):
+        assert det_bareiss(entries) == det_permutation(entries) == det
 
 
 def test_serialization_text():
