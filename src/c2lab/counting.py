@@ -42,7 +42,12 @@ Non-homogeneous systems take the plain walk over every outer assignment.
 
 The elimination counter ``count_reduced`` works on polynomials over Z, so
 one elimination serves several fields (``count_reduced_fields``); only its
-fallback enumerations walk one field.
+fallback enumerations walk one field.  A subsystem in m variables is split
+only while q^m exceeds ``_ENUMERATE_POINTS`` (2^22) points; below that it
+is enumerated, which costs less than the minors of further splits.  The
+choice depends on q and m alone, so each field walks the tree that a call
+with it alone walks, and ``budget`` counts these enumerations as fallback
+points.
 """
 
 from __future__ import annotations
@@ -438,6 +443,10 @@ def count_via_inclusion_exclusion(
 
 _MAX_SYSTEM = 4
 _MAX_MONOS = 4000
+# A subsystem in m variables is enumerated over F_q, not split, once q^m is
+# at most this many points: below it the walk costs less than the products
+# of the minors and the set-up of the many small walks a split leads to.
+_ENUMERATE_POINTS = 64 * _BLOCK_TARGET
 
 
 def count_reduced(
@@ -447,10 +456,14 @@ def count_reduced(
 
     Elimination of a variable in which every polynomial in the working
     system is linear splits the count into three smaller subproblems
-    (cofactor system, resultant minors, leading-coefficient system); the
-    recursion falls back to direct enumeration for systems too bushy to
-    profit.  ``budget`` bounds the points enumerated by all fallbacks
-    together; over several fields (``count_reduced_fields``) it applies to
+    (cofactor system, resultant minors, leading-coefficient system).  The
+    recursion enumerates a subsystem in m variables over F_q instead when
+    q^m is at most ``_ENUMERATE_POINTS`` (2^22) points, and for systems too
+    bushy to profit (no linear variable, more than ``_MAX_SYSTEM``
+    polynomials or ``_MAX_MONOS`` monomials).  So a polynomial whose whole
+    lattice has at most 2^22 points is enumerated at once.  ``budget``
+    bounds the points of all these enumerations together (the fallback
+    points); over several fields (``count_reduced_fields``) it applies to
     each field on its own.
     """
     return count_reduced_fields(P, [F], n_vars, budget=budget)[0]
@@ -519,31 +532,34 @@ def _eliminate(system, fields: dict, n_vars: int, budget: int, spent: list) -> d
     # monomials are sorted tuples, so a repeated variable repeats in place
     squared = {x for mono in monos for x, y in zip(mono, mono[1:]) if x == y}
     linear_vars = [v for v in used if v not in squared]
-    if not linear_vars or len(system) > _MAX_SYSTEM or len(monos) > _MAX_MONOS:
-        raw = {}
-        for i, F in fields.items():
-            spent[i] += F.q**m
-            if spent[i] > budget:
-                raise BudgetExceeded(
-                    f"count_reduced's enumeration fallbacks exceed the budget of {budget} points"
-                )
-            raw[i] = _count_common_zeros(system, F, m, torus=False)
-    else:
+    splits = linear_vars and len(system) <= _MAX_SYSTEM and len(monos) <= _MAX_MONOS
+    eliminated = {i: F for i, F in fields.items() if splits and F.q**m > _ENUMERATE_POINTS}
+    raw = {}
+    for i, F in fields.items():
+        if i in eliminated:
+            continue
+        spent[i] += F.q**m
+        if spent[i] > budget:
+            raise BudgetExceeded(
+                f"count_reduced's enumeration fallbacks exceed the budget of {budget} points"
+            )
+        raw[i] = _count_common_zeros(system, F, m, torus=False)
+    if eliminated:
         v = max(linear_vars, key=lambda x: (occ[x], -x))
         gs, hs = [], []
         for P in system:
             g, h = P.coeff_and_rest(v)
             gs.append(g)
             hs.append(h)
-        a = _count_system(gs + hs, fields, m - 1, budget, spent)
-        c = _count_system(gs, fields, m - 1, budget, spent)
+        a = _count_system(gs + hs, eliminated, m - 1, budget, spent)
+        c = _count_system(gs, eliminated, m - 1, budget, spent)
         minors = [
             gs[i] * hs[j] - gs[j] * hs[i]
             for i in range(len(system))
             for j in range(i + 1, len(system))
         ]
-        b = _count_system(minors, fields, m - 1, budget, spent)
-        raw = {i: F.q * a[i] + b[i] - c[i] for i, F in fields.items()}
+        b = _count_system(minors, eliminated, m - 1, budget, spent)
+        raw.update((i, F.q * a[i] + b[i] - c[i]) for i, F in eliminated.items())
     return {i: raw[i] * F.q ** (n_vars - m) for i, F in fields.items()}
 
 

@@ -72,14 +72,29 @@ def sweep_identities(G: Graph, names=None):
             yield name, idx, check_identity(name, G, idx, minors=minors)
 
 
-def _get(indices, key):
+def _get(G: Graph, indices, key, *, many: bool = False, optional: bool = False):
+    """indices[key] as edge labels of G: one label, or with ``many`` a tuple
+    of them, which must name at least one edge unless ``optional``.  An
+    ``optional`` key may be missing, and then names no edge."""
     if key not in indices:
+        if optional:
+            return ()
         raise BadIndices(f"identity needs index {key!r}")
-    return indices[key]
+    value = indices[key]
+    try:
+        labels = tuple(value) if many else (value,)
+    except TypeError:
+        raise BadIndices(f"index {key!r} must be a sequence of edge labels") from None
+    if not labels and not optional:
+        raise BadIndices(f"index {key!r} names no edge")
+    for lab in labels:
+        if lab not in G.labels:
+            raise BadIndices(f"index {key!r} names {lab!r}, which is not an edge label")
+    return labels if many else value
 
 
 def _c10(G: Graph, indices, pair) -> IdentityResult:
-    k = _get(indices, "k")
+    k = _get(G, indices, "k")
     f = phi(G)
     hi, lo = f.coeff_and_rest(k)
     u, v = G.endpoints(k)
@@ -91,7 +106,7 @@ def _c10(G: Graph, indices, pair) -> IdentityResult:
 
 
 def _e100(G: Graph, indices, pair) -> IdentityResult:
-    k = _get(indices, "k")
+    k = _get(G, indices, "k")
     u, v = G.endpoints(k)
     if u != v:
         raise BadIndices(f"edge {k} is not a self-loop")
@@ -100,7 +115,10 @@ def _e100(G: Graph, indices, pair) -> IdentityResult:
 
 
 def _e101(G: Graph, indices, pair) -> IdentityResult:
-    a, b = _get(indices, "pair")
+    pair = _get(G, indices, "pair", many=True)
+    if len(pair) != 2:
+        raise BadIndices("e101 needs a pair of edges")
+    a, b = pair
     ea, eb = G.endpoints(a), G.endpoints(b)
     if ea != eb or ea[0] == ea[1]:
         raise BadIndices(f"edges {a},{b} are not a parallel pair")
@@ -126,7 +144,7 @@ def _found(name: str, signs, *keys) -> IdentityResult:
 
 
 def _c14(G: Graph, indices, pair) -> IdentityResult:
-    i, j = _get(indices, "i"), _get(indices, "j")
+    i, j = _get(G, indices, "i"), _get(G, indices, "j")
     fij, fi_j, f_ij, f_i_j = _phi_split2(G, i, j)
     rhs = pair({i}, {j}) ** 2
     lhs_main, lhs_signed = fi_j * f_ij, fij * f_i_j
@@ -134,7 +152,7 @@ def _c14(G: Graph, indices, pair) -> IdentityResult:
 
 
 def _c15(G: Graph, indices, pair) -> IdentityResult:
-    i, j = _get(indices, "i"), _get(indices, "j")
+    i, j = _get(G, indices, "i"), _get(G, indices, "j")
     f = phi(G)
     fi = f.coeff_and_rest(i)[0]
     fj = f.coeff_and_rest(j)[0]
@@ -149,13 +167,13 @@ def _c15(G: Graph, indices, pair) -> IdentityResult:
     return _found("c15", _first_signs(1, holds), "sign")
 
 
-def _dodgson(name: str, indices, pair, terms) -> IdentityResult:
+def _dodgson(name: str, G: Graph, indices, pair, terms) -> IdentityResult:
     """c18 or c20: t1 + s2 * t2 = s3 * rhs, where ``terms(I | K, J | K, S,
     a, b, x)`` gives the two phi^{A,B}_C index triples of t1, t2 and rhs."""
-    I, J, S, K = (frozenset(indices.get(key, ())) for key in "IJSK")
+    I, J, S, K = (frozenset(_get(G, indices, key, many=True, optional=True)) for key in "IJSK")
     if name == "c20" and len(J) != len(I) + 1:
         raise BadIndices("c20 needs |J| = |I| + 1")
-    a, b, x = (_get(indices, key) for key in "abx")
+    a, b, x = (_get(G, indices, key) for key in "abx")
     t1, t2, rhs = (pair(*A) * pair(*B) for A, B in terms(I | K, J | K, S, a, b, x))
     # sign of each product depends on row/column conventions: resolve both
     # the relative sign of the left terms and the right-hand sign
@@ -164,7 +182,7 @@ def _dodgson(name: str, indices, pair, terms) -> IdentityResult:
 
 
 def _c18(G: Graph, indices, pair) -> IdentityResult:
-    return _dodgson("c18", indices, pair, lambda IK, JK, S, a, b, x: (
+    return _dodgson("c18", G, indices, pair, lambda IK, JK, S, a, b, x: (
         ((IK | {x}, JK | {x}, S), (IK | {a}, JK | {b}, S | {x})),
         ((IK, JK, S | {x}), (IK | {a, x}, JK | {b, x}, S)),
         ((IK | {x}, JK | {b}, S), (IK | {a}, JK | {x}, S)),
@@ -172,7 +190,7 @@ def _c18(G: Graph, indices, pair) -> IdentityResult:
 
 
 def _c20(G: Graph, indices, pair) -> IdentityResult:
-    return _dodgson("c20", indices, pair, lambda IK, JK, S, a, b, x: (
+    return _dodgson("c20", G, indices, pair, lambda IK, JK, S, a, b, x: (
         ((IK | {a, x}, JK | {x}, S), (IK | {b}, JK, S | {x})),
         ((IK | {a}, JK, S | {x}), (IK | {b, x}, JK | {x}, S)),
         ((IK | {x}, JK, S), (IK | {a, b}, JK | {x}, S)),
@@ -181,11 +199,9 @@ def _c20(G: Graph, indices, pair) -> IdentityResult:
 
 def _c100(G: Graph, indices, pair) -> IdentityResult:
     """Corolla: phi_{G,1} = sum_i lambda_i a_i phi^{1,i} over the star of a vertex."""
-    edges = tuple(_get(indices, "edges"))
+    edges = _get(G, indices, "edges", many=True)
     e1, rest = edges[0], edges[1:]
-    verts = [set(G.endpoints(l)) for l in edges]
-    common = set.intersection(*verts) if verts else set()
-    if not common:
+    if not set.intersection(*(set(G.endpoints(l)) for l in edges)):
         raise BadIndices("corolla edges must share a vertex")
     target = phi(G).coeff_and_rest(e1)[1]
     parts = [MLPoly.variable(i) * pair({e1}, {i}) for i in rest]
@@ -194,7 +210,7 @@ def _c100(G: Graph, indices, pair) -> IdentityResult:
 
 def _c101(G: Graph, indices, pair) -> IdentityResult:
     """Cycle: phi^1 = sum_i lambda_i phi^{1,i} over the other cycle edges."""
-    edges = tuple(_get(indices, "edges"))
+    edges = _get(G, indices, "edges", many=True)
     e1, rest = edges[0], edges[1:]
     target = phi(G).coeff_and_rest(e1)[0]
     parts = [pair({e1}, {i}) for i in rest]
@@ -212,7 +228,7 @@ def _lambda_search(name: str, target: MLPoly, parts) -> IdentityResult:
 
 def _cor7(G: Graph, indices, pair) -> IdentityResult:
     """(phi^{i,k})^2 = phi^k phi^i_k - phi_k phi^{ik} (radical membership core)."""
-    i, k = _get(indices, "i"), _get(indices, "k")
+    i, k = _get(G, indices, "i"), _get(G, indices, "k")
     f = phi(G)
     fk, f_k = f.coeff_and_rest(k)
     fi = f.coeff_and_rest(i)[0]

@@ -451,7 +451,8 @@ def lem36_closed_forms(n: int) -> tuple[int, int]:
 
 def _v_lem36(G, F, *, budget):
     n = G.n
-    _require(is_isomorphic(G, family("Gn", n)), "lem36 is about the G_n family")
+    # family("Gn", n) needs n >= 2; every smaller graph is not a G_n either
+    _require(n >= 2 and is_isomorphic(G, family("Gn", n)), "lem36 is about the G_n family")
     r12, _ = census(G, 1, 2, budget=budget)
     r21, _ = census(G, 2, 1, budget=budget)
     e12, e21 = lem36_closed_forms(n)

@@ -120,6 +120,17 @@ def test_cli_verify_census_checks_a_given_q(capsys, theorem):
         assert json.loads(out)["error"]["code"] == error
 
 
+@pytest.mark.parametrize("spec", ["banana:3", "cycle:1", "wheel:3"])
+def test_cli_verify_lem36_off_the_g_n_family(capsys, spec):
+    # banana:3 and cycle:1 are below the smallest G_n, G_2
+    code, out = run_cli(capsys, "verify", "--theorem", "lem36", "--family", spec)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "PreconditionUnmet",
+        "message": "lem36 is about the G_n family",
+    }
+
+
 def test_cli_census(capsys):
     code, out = run_cli(capsys, "census", "--family", "Gn:3", "--u", "1", "--v", "2")
     assert code == 0

@@ -136,7 +136,15 @@ def test_count_report_fields():
     assert rep.to_json()["raw"] == "4"
 
 
-def test_count_reduced_matches_brute_on_graph_polys(corpus, fields):
+@pytest.fixture
+def eliminate(monkeypatch):
+    """Split every system that has a linear variable, whatever its size: at
+    the default ``_ENUMERATE_POINTS`` every input of these tests would be
+    enumerated whole, and the elimination would never run."""
+    monkeypatch.setattr(counting, "_ENUMERATE_POINTS", 0)
+
+
+def test_count_reduced_matches_brute_on_graph_polys(corpus, fields, eliminate):
     for name, G in corpus.items():
         if not is_connected(G) or G.edge_count > 6:
             continue
@@ -149,7 +157,7 @@ def test_count_reduced_matches_brute_on_graph_polys(corpus, fields):
                 ), (name, q)
 
 
-def test_count_reduced_random_polys():
+def test_count_reduced_random_polys(eliminate):
     rng = random.Random(2024)
     for trial in range(40):
         n = rng.randint(1, 8)
@@ -260,7 +268,7 @@ def test_sing_count_mod_q(corpus, fields):
             assert rep.raw % q == 0, (name, q)
 
 
-def test_count_reduced_budget_does_not_depend_on_earlier_calls():
+def test_count_reduced_budget_does_not_depend_on_earlier_calls(eliminate):
     W4, F3 = family("wheel", 4), make_field(3)
     count_reduced(psi(W4), F3, 8)
     with pytest.raises(BudgetExceeded):
@@ -319,14 +327,16 @@ def test_count_reduced_fields_match_per_field_counts_on_random_polys(system):
     # of a call with that field alone
     P, n = system
     fields = [make_field(q) for q in (2, 3, 4, 5, 7)]
-    reports = count_reduced_fields(P, fields, n)
-    spent = [0] * len(fields)
-    raws = counting._count_system([P], dict(enumerate(fields)), n, 10**9, spent)
-    for i, (rep, F) in enumerate(zip(reports, fields)):
-        assert rep == count_reduced(P, F, n) == count_zeros([P], F, n), F.q
-        alone = [0]
-        assert counting._count_system([P], {0: F}, n, 10**9, alone) == {0: raws[i]}
-        assert alone == [spent[i]], F.q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_ENUMERATE_POINTS", 0)  # see ``eliminate``
+        reports = count_reduced_fields(P, fields, n)
+        spent = [0] * len(fields)
+        raws = counting._count_system([P], dict(enumerate(fields)), n, 10**9, spent)
+        for i, (rep, F) in enumerate(zip(reports, fields)):
+            assert rep == count_reduced(P, F, n) == count_zeros([P], F, n), F.q
+            alone = [0]
+            assert counting._count_system([P], {0: F}, n, 10**9, alone) == {0: raws[i]}
+            assert alone == [spent[i]], F.q
 
 
 def test_each_field_keeps_the_polynomials_that_survive_mod_p():
@@ -348,7 +358,7 @@ def test_each_field_keeps_the_polynomials_that_survive_mod_p():
     assert raws([2 * a(i) for i in range(1, 6)], 5) == ([32, 1, 1024, 1, 1], [0, 3**5, 0, 5**5, 9**5])
 
 
-def test_count_reduced_fields_budget_applies_to_each_field():
+def test_count_reduced_fields_budget_applies_to_each_field(eliminate):
     # psi(wheel:4)'s fallbacks enumerate 280 points at q = 2 and 2097 at q = 3
     P, F2, F3 = psi(family("wheel", 4)), make_field(2), make_field(3)
     assert count_reduced_fields(P, [F2, F2, F2], 8, budget=280)[0] == count_reduced(P, F2, 8)
@@ -357,6 +367,35 @@ def test_count_reduced_fields_budget_applies_to_each_field():
     with pytest.raises(BudgetExceeded):
         count_reduced_fields(P, [F2, F3], 8, budget=1000)
     assert count_reduced(P, F3, 8, budget=2097).raw == 2529
+
+
+def test_count_reduced_enumerates_a_small_lattice_whole():
+    # at the default _ENUMERATE_POINTS psi(wheel:4) is enumerated at once,
+    # so its fallbacks enumerate its whole lattice: 2^8 and 3^8 points
+    P, F2, F3 = psi(family("wheel", 4)), make_field(2), make_field(3)
+    assert count_reduced(P, F2, 8, budget=256) == count_zeros([P], F2, 8)
+    with pytest.raises(BudgetExceeded):
+        count_reduced(P, F2, 8, budget=255)
+    assert count_reduced(P, F3, 8, budget=6561).raw == 2529
+    with pytest.raises(BudgetExceeded):
+        count_reduced(P, F3, 8, budget=6560)
+
+
+def test_fields_on_both_sides_of_the_enumeration_size(monkeypatch):
+    # with _ENUMERATE_POINTS = 3^8, psi(wheel:4) in 8 variables is enumerated
+    # at once over F_2 and F_3 (3^8 is not above the bound) and split over
+    # F_4; each field's count and points are those of a call with it alone
+    monkeypatch.setattr(counting, "_ENUMERATE_POINTS", 3**8)
+    P = psi(family("wheel", 4))
+    fields = [make_field(q) for q in (2, 3, 4)]
+    spent = [0] * len(fields)
+    raws = counting._count_system([P], dict(enumerate(fields)), 8, 10**9, spent)
+    assert spent[:2] == [2**8, 3**8] and spent[2] < 4**8
+    for i, F in enumerate(fields):
+        alone = [0]
+        assert counting._count_system([P], {0: F}, 8, 10**9, alone) == {0: raws[i]}
+        assert alone == [spent[i]], F.q
+        assert raws[i] == count_zeros([P], F, 8).raw, F.q
 
 
 # -- the cone walk -------------------------------------------------------------

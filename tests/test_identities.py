@@ -7,6 +7,7 @@ from c2lab import identities
 from c2lab.errors import BadIndices
 from c2lab.graphs import Graph, family
 from c2lab.identities import (
+    IDENTITY_NAMES,
     check_identity,
     resultant_lemma_variants,
     sweep_identities,
@@ -175,3 +176,39 @@ def test_resultant_lemma_resolution():
 def test_unknown_identity():
     with pytest.raises(BadIndices):
         check_identity("c999", family("cycle", 3), {})
+
+
+# each identity at indices naming 7, which is not an edge of K4 (labels 1..6)
+UNKNOWN_LABEL = {
+    "c10": {"k": 7},
+    "e100": {"k": 7},
+    "e101": {"pair": (1, 7)},
+    "c14": {"i": 1, "j": 7},
+    "c15": {"i": 7, "j": 1},
+    "c18": {"I": (7,), "J": (1,), "a": 2, "b": 3, "x": 4},
+    "c20": {"J": (3,), "a": 1, "b": 2, "x": 7},
+    "c100": {"edges": (1, 7)},
+    "c101": {"edges": (1, 2, 7)},
+    "cor7": {"i": 1, "k": 7},
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+def test_unknown_label_is_bad_indices(name):
+    with pytest.raises(BadIndices, match="names 7, which is not an edge label"):
+        check_identity(name, family("complete", 4), UNKNOWN_LABEL[name])
+
+
+@pytest.mark.parametrize(
+    "name, indices",
+    [
+        ("c100", {"edges": ()}),
+        ("c101", {"edges": ()}),
+        ("c100", {"edges": 1}),
+        ("e101", {"pair": (1,)}),
+        ("c14", {"i": [1], "j": 2}),
+    ],
+)
+def test_malformed_indices_are_bad_indices(name, indices):
+    with pytest.raises(BadIndices):
+        check_identity(name, family("complete", 4), indices)
