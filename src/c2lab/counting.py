@@ -10,28 +10,33 @@ or a joint histogram of zero coordinates and matrix ranks.
 A walk of F_q^m fixes the first m - b coordinates (the outer assignment)
 and takes the last b as an inner block of at most 2^16 points.  Every
 polynomial is evaluated on a block by one bilinear evaluator, ``_Bilinear``,
-the same for every q and set up once per system of polynomials.  The
-block's coordinates split into b1 row coordinates and b2 = ceil(b / 2)
-column coordinates, with R and B values, and
+the same for every q and set up once per list of polynomials.  The block's
+coordinates split into b1 row coordinates and b2 = ceil(b / 2) column
+coordinates, with R and B values, and
 
     P(outer, rows, columns) = sum_{j,k} V_j(rows) W_jk(outer) M_k(columns),
 
 where j and k run over the J distinct row parts and the K distinct column
-parts of P's monomials.  The row monomials V (J x R) and the column
-monomials M (K x B) are built once per walk, as one table each for the
-union of the parts of the system's polynomials; each polynomial gathers
-its own rows, so its product stays J x K.  Per block, W (J x K) sums
-each term's coefficient times its outer factors into the cell of its row
-and column part, and the block's values are (V^T W M) mod p, raveled
-row-major, so the last coordinate varies fastest.  Over q = p^s every
-factor is expanded over F_p: an element of V^T or W becomes its s x s
-multiplication matrix and an element of M its s digits
-(``FqField.mul_matrix``, ``FqField.digits``), so one float matrix product
-serves every field, and the digits of the values recombine into codes.
-The products are not reduced in between: every partial sum is an integer
-of at most J K s^2 (p - 1)^3, so they run in float32 while that is below
-2^23, in float64 while it is below 2^52 (one bit under each exact range,
-for the reduction mod p), and raise past that.
+parts of the monomials of the whole list.  The row monomials V (J x R) and
+the column monomials M (K x B) are built once per walk.  Per block, each
+polynomial's W (J x K) sums each of its terms' coefficient times its outer
+factors into the cell of its row and column part, and a slice of n
+polynomials is evaluated by one stacked product V^T [W_1 ... W_n] M, mod
+p, each polynomial's values raveled row-major, so the last coordinate
+varies fastest.  A slice holds max(1, _BLOCK_TARGET // (R B)) polynomials,
+so its values never exceed one block's 2^16.  Over q = p^s every factor is
+expanded over F_p: an element of V^T or W becomes its s x s multiplication
+matrix and an element of M its s digits (``FqField.mul_matrix``,
+``FqField.digits``), so one float matrix product serves every field, and
+the digits of the values recombine into codes.  The products are not
+reduced in between: every partial sum is an integer of at most
+J K s^2 (p - 1)^3, for the J and K of the list's union, so the list's
+products run in float32 while that is below 2^23, in float64 while it is
+below 2^52 (one bit under each exact range, for the reduction mod p), and
+raise past that.  A common zero count reduces each slice's values to one
+mask of the block, and stops between slices once the block is settled;
+``count_zeros_each`` counts the zeros of every polynomial of a list on its
+own, from one walk and one set-up.
 
 Most counts are of cones.  When the tallied per-point function is
 invariant under x -> lambda x (the zeros of homogeneous polynomials, the
@@ -164,31 +169,35 @@ def _distinct(keys: np.ndarray, size: int):
 
 
 class _Bilinear:
-    """The values of a compiled system (see ``_compile``) on the blocks of a
-    walk of F_q^m (of the torus, with ``torus``), by the matrix product of
-    the module docstring.  Calling it with an outer assignment yields the
-    codes of the block's points in the walk's order, one polynomial at a
-    time, so that a caller can stop early.
+    """The values of a compiled list of polynomials (see ``_compile``) on the
+    blocks of a walk of F_q^m (of the torus, with ``torus``), by the matrix
+    product of the module docstring.  Calling it with an outer assignment
+    yields the codes of the block's points in the walk's order one slice of
+    the list at a time, as an array with a row per polynomial of the slice,
+    so that a caller can stop early between slices.
 
-    The monomial tables V and M are built once for the union of the
-    system's row and column parts; each polynomial gathers its own J rows
-    of V and K rows of M, so its product stays J x K."""
+    The monomial tables V and M are built once for the union of the list's
+    row and column parts, and each polynomial's W is J x K over that union,
+    so a slice of n polynomials is one stacked product V^T [W_1 ... W_n] M
+    (an n x J x K stack of W, in the cheaper of its two associations), in
+    the one dtype that the union's bound J K s^2 (p - 1)^3 allows.  A slice
+    holds max(1, _BLOCK_TARGET // (R B)) polynomials, so its values never
+    exceed one block's worth.  ``slices`` holds the range of polynomials of
+    each slice, in order."""
 
     def __init__(self, compiled, F: FqField, m: int, torus: bool):
         coeffs, exps, sizes = compiled
         values, b = _block(F, m, torus)
         q, p, s = F.q, F.p, F.s
         n_outer, b2 = m - b, (b + 1) // 2
-        ends = list(itertools.accumulate(sizes))
-        spans = list(zip([0] + ends[:-1], ends))
 
         def parts(lo, hi):
-            """The codes of the system's distinct exponent vectors of
+            """The codes of the list's distinct exponent vectors of
             coordinates lo..hi-1 as monomials at every point of those
             coordinates of the block (one row per vector, the last
-            coordinate varying fastest), and for each polynomial the rows of
-            its own vectors and the index of each term's among them.  The
-            vectors are read as base-q keys, below q^(hi - lo) <= q^b."""
+            coordinate varying fastest), and the index of each term's vector
+            among them.  The vectors are read as base-q keys, below
+            q^(hi - lo) <= q^b."""
             radix = q ** np.arange(hi - lo)
             union, where = _distinct(exps[:, lo:hi] @ radix, q ** (hi - lo))
             part = union[:, None] // radix % q
@@ -197,61 +206,53 @@ class _Bilinear:
             for factor in F.pow_table[values, part[:, :, None]].transpose(1, 0, 2):
                 vals = F.mul_table[vals[:, :, None], factor[:, None, :]]
                 vals = vals.reshape(len(union), vals.shape[1] * vals.shape[2])
-            if len(spans) == 1:  # a lone polynomial owns every row
-                return vals, [(range(len(union)), where)]
-            return vals, [_distinct(where[a:e], len(union)) for a, e in spans]
+            return vals, where
 
-        V, rows = parts(n_outer, m - b2)
-        M, cols = parts(m - b2, m)
-        (J_all, R), (K_all, B) = V.shape, M.shape  # J x R and K x B over the union
+        V, row = parts(n_outer, m - b2)
+        M, col = parts(m - b2, m)
+        (J, R), (K, B) = V.shape, M.shape
         # V^T W sums J s products of digits; times M, K s products of those
         # sums with digits: at most J K s^2 (p - 1)^3, unreduced
-        bounds = [len(j) * len(k) * s * s * (p - 1) ** 3 for (j, _), (k, _) in zip(rows, cols)]
-        dtypes = [_gemm_dtype(bound) for bound in bounds]
-        wide = _gemm_dtype(max(bounds))
-        mul_matrix = {dtype: F.mul_matrix.astype(dtype) for dtype in {*dtypes, wide}}
+        dtype = _gemm_dtype(J * K * s * s * (p - 1) ** 3)
+        self.mul_matrix = F.mul_matrix.astype(dtype)
         # V^T as R x J blocks of multiplication matrices, M as K x B digit columns
-        V = mul_matrix[wide][V.T].transpose(0, 2, 1, 3).reshape(R * s, J_all * s)
-        M = F.digits.astype(wide)[M].transpose(0, 2, 1).reshape(K_all * s, B)
+        self.V = self.mul_matrix[V.T].transpose(0, 2, 1, 3).reshape(R * s, J * s)
+        self.M = F.digits.astype(dtype)[M].transpose(0, 2, 1).reshape(K * s, B)
+        n, per = len(sizes), max(1, _BLOCK_TARGET // (R * B))
+        self.slices = [range(a, min(a + per, n)) for a in range(0, n, per)]
+        starts = [0, *itertools.accumulate(sizes)]
+        self.spans = [(starts[r.start], starts[r.stop]) for r in self.slices]
+        # the bin of digit i of each term in the digits of its slice's
+        # stack of n J x K matrices W
         digit = np.arange(s)
-        # per polynomial: its terms a..e-1, the bin of each of their digits
-        # in W, J and K, its columns of V^T and rows of M in its dtype, and
-        # the multiplication matrices in that dtype
-        self.products, self.right_first = [], []
-        for (a, e), (row, row_index), (col, col_index), dtype in zip(spans, rows, cols, dtypes):
-            J, K = len(row), len(col)
-            V_own = V[:, (row[:, None] * s + digit).ravel()] if J < J_all else V
-            M_own = M[(col[:, None] * s + digit).ravel()] if K < K_all else M
-            # the bin of digit i of each term in the digits of the J x K matrix W
-            bins = ((row_index * K + col_index)[:, None] * s + digit).ravel()
-            V_own, M_own = V_own.astype(dtype, copy=False), M_own.astype(dtype, copy=False)
-            self.products.append((a, e, bins, J, K, V_own, M_own, mul_matrix[dtype]))
-            # the cheaper order of the exact, associative product V^T W M
-            self.right_first.append(J * K * B + R * J * B < R * J * K * s + R * K * B)
-        self.F, self.R = F, R
+        stacked = (np.repeat(np.arange(n) % per, sizes) * J + row) * K + col
+        self.bins = (stacked[:, None] * s + digit).ravel()
+        # the cheaper order of the exact, associative product V^T W M
+        self.right_first = J * K * B + R * J * B < R * J * K * s + R * K * B
+        self.F, self.J, self.K, self.R = F, J, K, R
         self.coeffs, self.outer_exps = coeffs, exps[:, :n_outer]
         self.place = p**digit
 
     def __call__(self, outer):
         F, s, p = self.F, self.F.s, self.F.p
+        J, K, R, B = self.J, self.K, self.R, self.M.shape[1]
         terms = self.coeffs  # times the outer factors of each term
         for i, x in enumerate(outer):
             terms = F.mul_table[terms, F.pow_table[x, self.outer_exps[:, i]]]
         term_digits = F.digits[terms]
-        for (a, e, bins, J, K, V, M, mul_matrix), right_first in zip(
-            self.products, self.right_first
-        ):
-            sums = np.bincount(bins, weights=term_digits[a:e].ravel(), minlength=J * K * s)
-            W = (sums.reshape(J, K, s) % p).astype(np.intp) @ self.place
-            W = mul_matrix[W].transpose(0, 2, 1, 3).reshape(J * s, K * s)
-            vals = V @ (W @ M) if right_first else (V @ W) @ M
-            _mod(vals, p)
-            if s > 1:  # digits to codes, by Horner's rule
-                digits = vals.reshape(self.R, s, vals.shape[1])
-                vals = digits[:, s - 1]
-                for i in range(s - 2, -1, -1):
-                    vals = vals * p + digits[:, i]
-            yield vals.ravel()
+        for polys, (a, e) in zip(self.slices, self.spans):
+            n = len(polys)
+            sums = np.bincount(
+                self.bins[a * s : e * s], weights=term_digits[a:e].ravel(), minlength=n * J * K * s
+            )
+            W = self.mul_matrix[(sums.reshape(n, J, K, s) % p).astype(np.intp) @ self.place]
+            W = W.transpose(0, 1, 3, 2, 4).reshape(n, J * s, K * s)
+            vals = self.V @ (W @ self.M) if self.right_first else (self.V @ W) @ self.M
+            digits = _mod(vals, p).reshape(n, R, s, B)
+            vals = digits[:, :, s - 1]
+            for i in range(s - 2, -1, -1):  # digits to codes, by Horner's rule
+                vals = vals * p + digits[:, :, i]
+            yield vals.reshape(n, R * B)
 
 
 def _walk(tally, F: FqField, m: int, *, torus: bool = False, cone: bool = False):
@@ -301,7 +302,9 @@ def _walk_zeros(
 ) -> int:
     """Points of F_q^m (or the torus) where every polynomial of a compiled
     system (see ``_compile``) vanishes (or, with ``any_zero``, at least one
-    does); ``cone`` is for homogeneous polynomials (see ``_walk``)."""
+    does); ``cone`` is for homogeneous polynomials (see ``_walk``).  Each
+    slice's values (see ``_Bilinear``) reduce to one mask of the block, and
+    the walk of a block stops after the slice that settles every point."""
     if not compiled[2]:  # no polynomials
         return 0 if any_zero else (F.q - 1 if torus else F.q) ** m
     evaluate = _Bilinear(compiled, F, m, torus)
@@ -309,11 +312,11 @@ def _walk_zeros(
     def tally(outer) -> int:
         mask = None
         for vals in evaluate(outer):
-            zero = vals == 0
-            mask = zero if mask is None else (mask | zero if any_zero else mask & zero)
+            for zero in vals == 0:
+                mask = zero if mask is None else (mask | zero if any_zero else mask & zero)
             if mask.all() if any_zero else not mask.any():
                 break
-        return int(mask.sum())
+        return int(np.count_nonzero(mask))
 
     return _walk(tally, F, m, torus=torus, cone=cone)
 
@@ -347,37 +350,39 @@ def rank_histogram(M: PolyMatrix, F: FqField, labels) -> list[list[int]]:
     return _walk(tally, F, N, cone=cone).reshape(N + 1, d + 1).tolist()
 
 
-def _nonconstant(polys, F: FqField, n_vars: int):
-    """The polynomials that involve variables, with their sorted variables;
-    None when a nonzero constant leaves the system without zeros.  A
-    polynomial whose coefficients all vanish mod p constrains nothing, like
-    a zero constant, and is dropped."""
-    kept = []
-    for P in polys:
+def _prepare(polys, F: FqField, n_vars: int, torus: bool):
+    """The walk of a list of polynomials over F_q^{n_vars} (the torus, with
+    ``torus``): (fixed, walked, used, cone).  A polynomial whose
+    coefficients all vanish mod p is zero at every point, and a nonzero
+    constant at none; ``fixed`` maps the position of each of these in the
+    list to its zero count.  The others are ``walked``, in order, over the
+    lattice of their variables ``used``, sorted; ``cone`` says whether each
+    is homogeneous mod p, so that their zeros are cones (see ``_walk``)."""
+    fixed, walked = {}, []
+    for i, P in enumerate(polys):
         if all(c % F.p == 0 for _, c in P.terms()):
-            continue
-        if not P.variables():
-            return None
-        kept.append(P)
-    used = sorted(set().union(*(P.variables() for P in kept)))
+            fixed[i] = (F.q - 1 if torus else F.q) ** n_vars
+        elif not P.variables():
+            fixed[i] = 0
+        else:
+            walked.append(P)
+    used = sorted(set().union(*(P.variables() for P in walked)))
     if n_vars < len(used):
         raise PreconditionUnmet(f"system uses {len(used)} variables but ambient is {n_vars}")
-    return kept, used
+    cone = all(len(_degrees(P, F.p)) == 1 for P in walked)
+    return fixed, walked, used, cone
 
 
 def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool) -> int:
-    """Exact number of common zeros in affine space (or the torus).  When
-    every polynomial is homogeneous mod p its zeros form a cone, walked
-    one line at a time."""
-    split = _nonconstant(polys, F, n_vars)
-    if split is None:
+    """Exact number of common zeros in affine space (or the torus), by one
+    walk of the polynomials that are not constant mod p."""
+    fixed, walked, used, cone = _prepare(polys, F, n_vars, torus)
+    if 0 in fixed.values():
         return 0
-    polys, used = split
-    q, m = F.q, len(used)
-    cone = all(len(_degrees(P, F.p)) == 1 for P in polys)
-    compiled = _compile(polys, F, {v: i for i, v in enumerate(used)})
+    m = len(used)
+    compiled = _compile(walked, F, {v: i for i, v in enumerate(used)})
     raw = _walk_zeros(compiled, F, m, torus=torus, cone=cone)
-    return raw * (q - 1 if torus else q) ** (n_vars - m)
+    return raw * (F.q - 1 if torus else F.q) ** (n_vars - m)
 
 
 def count_zeros(polys, F: FqField, n_vars: int, *, budget: int | None = None) -> CountReport:
@@ -392,6 +397,30 @@ def count_zeros_torus(polys, F: FqField, n_vars: int, *, budget: int | None = No
     _check_budget(F.q, n_vars, budget)
     raw = _count_common_zeros(list(polys), F, n_vars, torus=True)
     return CountReport.from_raw(raw, F.q, n_vars)
+
+
+def count_zeros_each(
+    polys, F: FqField, n_vars: int, *, torus: bool = False, budget: int | None = None
+) -> list[CountReport]:
+    """The zeros of each polynomial of ``polys`` in F_q^{n_vars} (on the
+    torus, with ``torus``), in order: what one ``count_zeros`` (or
+    ``count_zeros_torus``) call per polynomial reports, from one walk of the
+    lattice of all their variables and one evaluator set-up.  The walk takes
+    one line at a time only when every polynomial walked is homogeneous."""
+    _check_budget(F.q, n_vars, budget)
+    polys = list(polys)
+    fixed, walked, used, cone = _prepare(polys, F, n_vars, torus)
+    m, zeros = len(used), iter(())
+    if walked:
+        evaluate = _Bilinear(_compile(walked, F, {v: i for i, v in enumerate(used)}), F, m, torus)
+
+        def tally(outer) -> np.ndarray:
+            return np.concatenate([np.count_nonzero(vals == 0, axis=1) for vals in evaluate(outer)])
+
+        zeros = iter(_walk(tally, F, m, torus=torus, cone=cone).tolist())
+    scale = (F.q - 1 if torus else F.q) ** (n_vars - m)
+    raws = [fixed[i] if i in fixed else next(zeros) * scale for i in range(len(polys))]
+    return [CountReport.from_raw(raw, F.q, n_vars) for raw in raws]
 
 
 def chevalley_warning_check(polys, F: FqField, n_vars: int, *, budget: int | None = None) -> bool:

@@ -17,12 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .counting import (
-    CountReport,
-    count_zeros,
-    count_zeros_torus,
-    sing_count,
-)
+from .counting import CountReport, count_zeros, count_zeros_each, sing_count
 from .errors import (
     BudgetExceeded,
     DivisibilityViolated,
@@ -263,7 +258,8 @@ def admissible_at_q(G: Graph, fields, *, budget=None) -> list[AdmissibilityRepor
     (``_scan_classes``) are counted once per field, in order of first
     appearance, up to the first that fails; its first pair is the scan's
     first failing pair.  Raises BudgetExceeded before scanning when the
-    scan has more pairs than ``budget``, which also bounds each count.
+    scan has more pairs than ``budget``, which also bounds each count.  The
+    classes of one edge count are counted together (``_at_q_report``).
     """
     _log_divergent_guard(G)
     classes, pairs, good = _scan_classes(
@@ -273,15 +269,24 @@ def admissible_at_q(G: Graph, fields, *, budget=None) -> list[AdmissibilityRepor
 
 
 def _at_q_report(classes, pairs, good, F: FqField, budget) -> AdmissibilityReport:
+    """The at-q report over F of a scan's classes: phi of each run of
+    classes with one edge count N' is counted by one ``count_zeros_each``
+    call, and the report names the first class whose count q^3 does not
+    divide.  The scan's sizes come cheapest first, so N' never grows from
+    one run to the next: the first run's budget check on q^N' is the one a
+    count per class would fail first, and no run after a failing one is
+    counted."""
     q = F.q
-    for c in classes:
-        raw = count_zeros([phi(c.member)], F, c.member.edge_count, budget=budget).raw
-        if raw % q**3 != 0:
-            return AdmissibilityReport(
-                False, "at-q", q=q, examined=c.before + 1,
-                skipped_degenerate=c.index - c.before, failure=c.first,
-                failure_detail=f"[phi^J_I] = {raw} is not divisible by q^3",
-            )
+    for N, run in itertools.groupby(classes, key=lambda c: c.member.edge_count):
+        run = list(run)
+        reports = count_zeros_each([phi(c.member) for c in run], F, N, budget=budget)
+        for c, rep in zip(run, reports):
+            if rep.raw % q**3 != 0:
+                return AdmissibilityReport(
+                    False, "at-q", q=q, examined=c.before + 1,
+                    skipped_degenerate=c.index - c.before, failure=c.first,
+                    failure_detail=f"[phi^J_I] = {rep.raw} is not divisible by q^3",
+                )
     return AdmissibilityReport(True, "at-q", q=q, examined=good, skipped_degenerate=pairs - good)
 
 
@@ -292,24 +297,27 @@ def s_t_sums(G: Graph, t: int, F: FqField, *, budget=None) -> tuple[int, int]:
     (I, J) <-> (J, I), so both sums run over the subquotients G\\I//J: the
     sums agree, the terms of one pair need not.  A degenerate pair
     (``graphs.PairBlock``) has both polynomials zero and adds (q-1)^(N-2t)
-    to each sum; the torus counts of the others are made once per
-    isomorphism class (``_scan_classes``).  With 2t > N_G there are no
-    pairs, and both sums are 0.  Raises BudgetExceeded before summing when
-    there are more pairs than ``budget``, which also bounds each count.
+    to each sum; the others are counted once per isomorphism class
+    (``_scan_classes``), psi and phi of every class by one torus
+    ``count_zeros_each`` call.  With 2t > N_G there are no pairs, and both
+    sums are 0.  Raises BudgetExceeded before summing when there are more
+    pairs than ``budget``, which also bounds the counts.
     """
     _require(1 <= t <= G.n, "S_t needs 1 <= t <= n_G")
     classes, pairs, good = _scan_classes(G, [(t, t)], budget=budget, what="the S_t sums")
     amb = G.edge_count - 2 * t
     if amb < 0:
         return 0, 0
+    degenerate = (pairs - good) * (F.q - 1) ** amb
+    if not classes:  # nothing to count, so no count's budget check
+        return degenerate, degenerate
+    polys = [psi(c.member) for c in classes] + [phi(c.member) for c in classes]
+    reports = count_zeros_each(polys, F, amb, torus=True, budget=budget)
 
-    def total(poly) -> int:
-        return (pairs - good) * (F.q - 1) ** amb + sum(
-            c.pairs * count_zeros_torus([poly(c.member)], F, amb, budget=budget).raw
-            for c in classes
-        )
+    def total(part) -> int:
+        return degenerate + sum(c.pairs * rep.raw for c, rep in zip(classes, part))
 
-    return total(psi), total(phi)
+    return total(reports[: len(classes)]), total(reports[len(classes) :])
 
 
 # -- theorem verification ------------------------------------------------------

@@ -44,7 +44,8 @@ from __future__ import annotations
 import itertools
 
 from .counting import (
-    CountReport, count_zeros, rank_histogram, sing_count, _check_budget, _compile, _walk_zeros,
+    CountReport, count_zeros, count_zeros_each, rank_histogram, sing_count, _check_budget, _compile,
+    _walk_zeros,
 )
 from .errors import PreconditionUnmet
 from .fields import FqField
@@ -162,6 +163,11 @@ def quadric_congruence_rhs(G: Graph, F: FqField, *, budget: int | None = None) -
 
     (-q)^(2n-N) ([phi_G] + q^2 [Sing(Z_G)] - q sum_i [phi_{G\\i}]
                  + q^2 sum_{i<j} [phi_{G\\ij}])   (mod q^3)
+
+    phi_G, every phi_{G\\i} and every phi_{G\\ij} are counted by one
+    ``count_zeros_each`` call over F_q^N, where a deletion's count is q or
+    q^2 times its count over F_q^(N-1) or F_q^(N-2); the divisions are
+    asserted exact.
     """
     N, n = G.edge_count, G.n
     if N > 2 * n:
@@ -169,15 +175,17 @@ def quadric_congruence_rhs(G: Graph, F: FqField, *, budget: int | None = None) -
     if not is_connected(G):
         raise PreconditionUnmet("the congruence is stated for connected graphs")
     q = F.q
-    phi_count = count_zeros([phi(G)], F, N, budget=budget).raw
-    sing = sing_count(G, F, "jacobian", budget=budget).raw
-    sum_one = 0
     labels = sorted(G.labels)
-    for i in labels:
-        sum_one += count_zeros([phi(delete(G, {i}))], F, N - 1, budget=budget).raw
-    sum_two = 0
-    for i, j in itertools.combinations(labels, 2):
-        sum_two += count_zeros([phi(delete(G, {i, j}))], F, N - 2, budget=budget).raw
+    deleted = [{i} for i in labels] + [set(ij) for ij in itertools.combinations(labels, 2)]
+    polys = [phi(G)] + [phi(delete(G, d)) for d in deleted]
+    phi_count, *counts = (rep.raw for rep in count_zeros_each(polys, F, N, budget=budget))
+    sing = sing_count(G, F, "jacobian", budget=budget).raw
+    sums = {1: 0, 2: 0}  # the deletions' counts over F_q^(N-1) and F_q^(N-2)
+    for d, raw in zip(deleted, counts):
+        own, rem = divmod(raw, q ** len(d))
+        assert rem == 0, "a deletion's count over F_q^N is not a multiple of q^|deleted|"
+        sums[len(d)] += own
+    sum_one, sum_two = sums[1], sums[2]
     total = (-q) ** (2 * n - N) * (
         phi_count + q**2 * sing - q * sum_one + q**2 * sum_two
     )

@@ -295,6 +295,17 @@ def test_cli_at_q_budget_exit_code(capsys):
     assert json.loads(out)["error"]["message"] == "the at-q scan of 1215 pairs exceeds the budget 10"
 
 
+@pytest.mark.parametrize("budget", ["1215", "2186"])
+def test_cli_at_q_class_count_budget_exit_code(capsys, budget):
+    argv = ["admissible", "--family", "wheel:4", "--mode", "at-q", "--q", "3", "--budget", budget]
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    message = f"enumerating q^n = 3^7 points exceeds the budget {budget}"
+    assert json.loads(out)["error"]["message"] == message
+    code, out = run_cli(capsys, *argv[:-1], "2187")
+    assert code == 0 and json.loads(out)["results"][0]["admissible"]
+
+
 def test_cli_rejects_a_negative_budget(capsys):
     argv = ["count", "--family", "wheel:3", "--q", "2", "--budget"]
     code, out = run_cli(capsys, *argv, "-1")

@@ -15,6 +15,7 @@ from c2lab.counting import (
     count_via_inclusion_exclusion,
     count_via_torus_strata,
     count_zeros,
+    count_zeros_each,
     count_zeros_torus,
     rank_histogram,
     sing_count,
@@ -601,7 +602,7 @@ def eval_block_grid(F, n_vars, torus):
     """(values, b, columns of the inner block) of a walk of F_q^n_vars."""
     values = np.arange(1 if torus else 0, F.q)
     b = 0
-    while b < n_vars and len(values) ** (b + 1) <= 1 << 16:
+    while b < n_vars and len(values) ** (b + 1) <= counting._BLOCK_TARGET:
         b += 1
     return values, b, _inner_columns(F.codes(values), b)
 
@@ -658,43 +659,48 @@ def test_union_walk_matches_eval_block(q, corpus):
 
 @pytest.mark.parametrize("q", ORACLE_QS)
 @pytest.mark.parametrize("torus", (False, True))
-def test_bilinear_values_match_eval_block(q, torus):
-    # whole blocks of values of every polynomial of a system, not only their
-    # zero counts, at several outer assignments of a walk with outer
-    # coordinates, rows and columns; each polynomial keeps the J x K product
-    # it has alone, though the system's polynomials have different parts
+def test_bilinear_values_match_eval_block(q, torus, monkeypatch):
+    # whole blocks of values of every polynomial of a list, not only their
+    # zero counts, at several outer assignments, under both associations of
+    # the stacked product.  Three walks: one with outer coordinates, rows and
+    # columns; one block holding the whole list; and, with a block target of
+    # twice the block's points, lists of several slices of two polynomials.
+    # The slices cover the list in order, each of max(1, target // (R B)).
     F, rng = make_field(q), random.Random(q)
-    m = next(k for k in range(1, 30) if (q - torus) ** k > 1 << 16 or k == 18) + 1
-    index = {v: v - 1 for v in range(1, m + 1)}
-    values, b, cols = eval_block_grid(F, m, torus)
-    shapes = set()
-    for size in (1, 2, 3, 4):
-        polys = []
-        for _ in range(size):
-            monos = {}
-            for _ in range(rng.randint(1, 8)):
-                mono = tuple(sorted(rng.choices(range(1, m + 1), k=rng.randint(0, 2 * q))))
-                monos[mono] = rng.randint(-40, 40)
-            polys.append(MLPoly(monos))
-        ev = counting._Bilinear(counting._compile(polys, F, index), F, m, torus)
-        for P, product in zip(polys, ev.products):
-            alone = counting._Bilinear(counting._compile([P], F, index), F, m, torus)
-            J, K, V, M = product[3:7]
-            assert (J, K, V.shape, M.shape) == alone.products[0][3:5] + (
-                alone.products[0][5].shape, alone.products[0][6].shape
-            )
-            shapes.add((J, K))
-        monos = [eval_block_monos(P, F, index) for P in polys]
-        for _ in range(3):
-            outer = tuple(int(rng.choice(values)) for _ in range(m - b))
-            expected = [_eval_block(mm, F, outer, cols, m - b) for mm in monos]
-            for right_first in (False, True):  # both associations of the product
-                ev.right_first = [right_first] * size
-                got = list(ev(outer))
-                assert len(got) == size
-                for k, (vals, want) in enumerate(zip(got, expected)):
-                    assert (vals == want).all(), (polys[k], outer, right_first)
-    assert len(shapes) > 1
+    L = q - torus
+    big = next(k for k in range(1, 30) if L**k > 1 << 16 or k == 18) + 1
+    seen = set()
+    for target, m in ((1 << 16, big), (1 << 16, 3), (16 if L <= 2 else 2 * L**2, 3)):
+        monkeypatch.setattr(counting, "_BLOCK_TARGET", target)
+        index = {v: v - 1 for v in range(1, m + 1)}
+        values, b, cols = eval_block_grid(F, m, torus)
+        for size in (1, 2, 3, 4, 6):
+            polys = []
+            for _ in range(size):
+                monos = {}
+                for _ in range(rng.randint(1, 8)):
+                    mono = tuple(sorted(rng.choices(range(1, m + 1), k=rng.randint(0, 2 * q))))
+                    monos[mono] = rng.randint(-40, 40)
+                polys.append(MLPoly(monos))
+            ev = counting._Bilinear(counting._compile(polys, F, index), F, m, torus)
+            per = max(1, target // (ev.R * ev.M.shape[1]))
+            assert [len(r) for r in ev.slices] == [min(per, size - a) for a in range(0, size, per)]
+            assert [i for r in ev.slices for i in r] == list(range(size))
+            seen.add((len(ev.slices) > 1, len(ev.slices[0]) > 1))
+            monos = [eval_block_monos(P, F, index) for P in polys]
+            for _ in range(3):
+                outer = tuple(int(rng.choice(values)) for _ in range(m - b))
+                expected = [_eval_block(mm, F, outer, cols, m - b) for mm in monos]
+                for right_first in (False, True):  # both associations of the product
+                    ev.right_first = right_first
+                    got = list(ev(outer))
+                    assert [len(vals) for vals in got] == [len(r) for r in ev.slices]
+                    for k, (vals, want) in enumerate(zip(np.concatenate(got), expected)):
+                        assert (vals == want).all(), (polys[k], outer, right_first)
+    # one slice of the whole list; unless every coordinate takes one value,
+    # also several slices of several polynomials
+    assert (False, True) in seen
+    assert L == 1 or (True, True) in seen
 
 
 def test_exponents_wrap_at_q():
@@ -732,6 +738,63 @@ def test_bilinear_evaluator_matches_eval_block_on_random_systems(system, torus):
     count = count_zeros_torus if torus else count_zeros
     F = make_field(q)
     assert count(polys, F, n).raw == eval_block_zeros(polys, F, n, torus=torus)
+
+
+@st.composite
+def polynomial_lists_st(draw, points):
+    """(q, polynomials, n): a list of 1-6 polynomials in n variables, q^n <=
+    ``points`` (the most such n half the time).  Each is a constant, or has
+    terms of mixed degree with repeated variables (exponents up to 2q) in
+    all n variables or in a range of its own, so lists mix disjoint and
+    shared variables; some have every coefficient a multiple of p, so they
+    vanish mod p."""
+    q = draw(st.sampled_from(ORACLE_QS))
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    most = max(k for k in range(1, 18) if q**k <= points)
+    n = draw(st.one_of(st.just(most), st.integers(1, most)))
+    polys = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("all", "all", "range", "constant", "vanishing")))
+        lo, hi = 1, n
+        if kind == "range":
+            lo = draw(st.integers(1, n))
+            hi = draw(st.integers(lo, n))
+        mono = st.lists(st.integers(lo, hi), min_size=1, max_size=2 * q)
+        monos = [()] if kind == "constant" else draw(st.lists(mono, min_size=1, max_size=5))
+        coeffs = draw(st.lists(st.integers(1, 30), min_size=len(monos), max_size=len(monos)))
+        scale = p if kind == "vanishing" else 1
+        polys.append(MLPoly({tuple(sorted(m)): scale * c for m, c in zip(monos, coeffs)}))
+    return q, polys, n
+
+
+@pytest.mark.parametrize("target, points", [(1 << 16, 2 * 10**5), (64, 5000)])
+@given(data=st.data(), torus=st.booleans())
+@settings(max_examples=60, deadline=None)
+@seed(20131)
+def test_count_zeros_each_matches_a_count_per_polynomial(target, points, data, torus):
+    # with a 64-point block target, lists span several slices and walks
+    # span several blocks
+    q, polys, n = data.draw(polynomial_lists_st(points))
+    F = make_field(q)
+    count = count_zeros_torus if torus else count_zeros
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_BLOCK_TARGET", target)
+        each = count_zeros_each(polys, F, n, torus=torus)
+        assert each == [count([P], F, n) for P in polys]
+
+
+def test_count_zeros_each_walks_a_homogeneous_list_once_as_a_cone(monkeypatch):
+    G, F = family("wheel", 4), make_field(3)
+    N, f = G.edge_count, phi(G)
+    polys = [psi(G), f] + [f.coeff_and_rest(k)[0] for k in sorted(G.labels)]
+    calls = spy_walks(monkeypatch)
+    each = count_zeros_each(polys, F, N + 1)
+    assert [(m, kw.get("cone")) for _, m, kw in calls] == [(N, True)]
+    assert each == [count_zeros([P], F, N + 1) for P in polys]
+    assert count_zeros_each([], F, 2) == []
+    with pytest.raises(BudgetExceeded) as e:
+        count_zeros_each(polys, F, N, budget=3**N - 1)
+    assert str(e.value) == "enumerating q^n = 3^8 points exceeds the budget 6560"
 
 
 def test_float64_products_agree(monkeypatch):

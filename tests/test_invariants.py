@@ -5,7 +5,7 @@ import pytest
 
 from c2lab import graphs, invariants, multipoly
 from c2lab.corpus import named_graphs, nonplanar_log_divergent
-from c2lab.counting import CountReport, count_zeros, count_zeros_torus
+from c2lab.counting import CountReport, count_zeros, count_zeros_each, count_zeros_torus
 from c2lab.errors import BudgetExceeded, NotATriangle, PreconditionUnmet, SelfLoopContraction
 from c2lab.fields import make_field
 from c2lab.graphs import (
@@ -161,6 +161,20 @@ def test_at_q_and_s_t_budgets_bound_pair_counts():
     assert s_psi == s_phi
 
 
+@pytest.mark.parametrize("budget", [1215, 2186, 2187])
+def test_at_q_budget_bounds_the_largest_class_count(budget):
+    # wheel:4's scan has 1,215 pairs, and its first class (the largest, N' = 7)
+    # is counted over 3^7 = 2,187 points: a budget that admits the scan but
+    # not that count refuses it, whichever class fails later
+    W4, F3 = family("wheel", 4), make_field(3)
+    if budget < 3**7:
+        with pytest.raises(BudgetExceeded) as e:
+            admissible_at_q(W4, [F3], budget=budget)
+        assert str(e.value) == f"enumerating q^n = 3^7 points exceeds the budget {budget}"
+    else:
+        assert admissible_at_q(W4, [F3], budget=budget)[0].admissible
+
+
 def test_census_and_structural_budget_messages():
     with pytest.raises(BudgetExceeded) as e:
         census(family("wheel", 6), 2, 0, budget=10)
@@ -268,19 +282,29 @@ def _scan_classes(G):
     ]
 
 
-def _counting(monkeypatch, fail_call=None):
-    """Patch the scan's count to record its calls; call number ``fail_call``
-    reports a count that q^3 does not divide."""
+def _counting(monkeypatch, fail_call=None, field=None):
+    """Patch the scan's batched count to record (q, ambient dimension) of
+    each polynomial it counts, in order; count number ``fail_call`` (over
+    ``field``'s q only, if given) reports a count that q^3 does not divide."""
     calls = []
 
     def count(polys, F, n_vars, **kw):
-        calls.append(n_vars)
-        if len(calls) == fail_call:
-            return CountReport.from_raw(1, F.q, n_vars)
-        return count_zeros(polys, F, n_vars, **kw)
+        reports = count_zeros_each(polys, F, n_vars, **kw)
+        for i, rep in enumerate(reports):
+            calls.append((F.q, n_vars))
+            if len(calls) == fail_call and field in (None, F.q):
+                reports[i] = CountReport.from_raw(1, F.q, n_vars)
+        return reports
 
-    monkeypatch.setattr(invariants, "count_zeros", count)
+    monkeypatch.setattr(invariants, "count_zeros_each", count)
     return calls
+
+
+def _classes_through_run(G, examined, classes, k):
+    """The classes counted up to the end of the batch holding class k: the
+    batches are the runs of classes of one edge count (``_at_q_report``)."""
+    size = {key: G.edge_count - len(I) - len(J) for I, J, key in examined}
+    return sum(size[key] >= size[classes[k]] for key in classes)
 
 
 def test_admissible_at_q_reports_first_pair_of_failing_class(monkeypatch):
@@ -374,19 +398,14 @@ def test_admissible_at_q_failing_field_keeps_the_next_report(monkeypatch):
     classes = list(dict.fromkeys(key for _, _, key in examined))
     k = len(classes) // 2
     first = next(i for i, (_, _, key) in enumerate(examined) if key == classes[k])
-    calls = []
-
-    def count(polys, F, n_vars, **kw):
-        calls.append(F.q)
-        if F.q == 2 and len(calls) == k + 1:
-            return CountReport.from_raw(1, F.q, n_vars)
-        return count_zeros(polys, F, n_vars, **kw)
-
-    monkeypatch.setattr(invariants, "count_zeros", count)
+    calls = _counting(monkeypatch, fail_call=k + 1, field=2)
     failed, passed = admissible_at_q(G, [F2, F3])
     assert not failed.admissible and failed.examined == first + 1
     assert passed.to_json() == reference
-    assert calls == [2] * (k + 1) + [3] * len(classes)
+    # F_2 stops after the batch of the failing class; F_3 counts every class
+    counted = _classes_through_run(G, examined, classes, k)
+    assert k + 1 <= counted < len(classes)
+    assert [q for q, _ in calls] == [2] * counted + [3] * len(classes)
 
 
 def _structural_per_pair(G, planar=is_planar, girth=girth_at_most):
@@ -605,17 +624,18 @@ def test_scans_count_subquotient_classes_without_dodgson_minors(monkeypatch):
     calls = []
 
     def count(polys, F, n_vars, **kw):
-        calls.append(n_vars)
-        return count_zeros_torus(polys, F, n_vars, **kw)
+        calls.append((len(polys), n_vars, kw.get("torus")))
+        return count_zeros_each(polys, F, n_vars, **kw)
 
     def no_minors(*args):
         raise AssertionError("a Dodgson minor was built")
 
-    monkeypatch.setattr(invariants, "count_zeros_torus", count)
+    monkeypatch.setattr(invariants, "count_zeros_each", count)
     monkeypatch.setattr(multipoly, "_m_matrix_rows", no_minors)
     s_psi, s_phi = s_t_sums(G, 2, F)
     assert s_psi == s_phi
-    assert len(calls) == 2 * len(classes) == 12  # of 420 pairs
+    # psi and phi of each class, all in one torus call, of 420 pairs
+    assert calls == [(2 * len(classes), G.edge_count - 4, True)] and len(classes) == 6
     assert admissible_at_q(G, [F])[0].admissible
 
 
