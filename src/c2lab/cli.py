@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import corpus, io
-from .counting import count_reduced_fields, count_zeros, count_zeros_torus
+from .counting import count_reduced, count_zeros, count_zeros_torus
 from .errors import DEFAULT_BUDGET, BadParameter, BudgetExceeded, C2LabError
 from .fields import FqField, make_field
 from .graphs import Graph, census, family, is_connected, spanning_trees
@@ -96,7 +96,7 @@ def _cmd_count(args):
     fields = _fields(args)
     P = psi(G) if args.which == "psi" else phi(G)
     if args.method == "reduced":
-        reports = count_reduced_fields(P, fields, G.edge_count, budget=args.budget)
+        reports = [count_reduced(P, F, G.edge_count, budget=args.budget) for F in fields]
     else:
         count = count_zeros_torus if args.torus else count_zeros
         reports = [count([P], F, G.edge_count, budget=args.budget) for F in fields]

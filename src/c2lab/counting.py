@@ -45,20 +45,20 @@ takes one outer assignment per line through the origin, with weight
 q - 1, plus the zero assignment: 1/(q - 1) of the outer assignments.
 Non-homogeneous systems take the plain walk over every outer assignment.
 
-The elimination counter ``count_reduced`` works on polynomials over Z, so
-one elimination serves several fields (``count_reduced_fields``); only its
-fallback enumerations walk one field.  A subsystem in m variables is split
-only while q^m exceeds ``_ENUMERATE_POINTS`` (2^22) points; below that it
-is enumerated, which costs less than the minors of further splits.  The
-choice depends on q and m alone, so each field walks the tree that a call
-with it alone walks, and ``budget`` counts these enumerations as fallback
-points.
+The elimination counter ``count_reduced`` counts over one field at a time.
+Each subsystem of its recursion, ``_count_system``, first goes through
+``_prepare``, the rule of every count: polynomials that vanish mod p are
+dropped, a nonzero constant leaves no zeros, and the system's variables
+must fit the ambient space.  A subsystem in m variables is split only while
+q^m exceeds ``_ENUMERATE_POINTS`` (2^22) points; below that it is walked
+like any other system (``_compile``, ``_walk_zeros``), which costs less
+than the minors of further splits, and ``budget`` counts these walks as
+fallback points.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
@@ -492,104 +492,56 @@ def count_reduced(
     polynomials or ``_MAX_MONOS`` monomials).  So a polynomial whose whole
     lattice has at most 2^22 points is enumerated at once.  ``budget``
     bounds the points of all these enumerations together (the fallback
-    points); over several fields (``count_reduced_fields``) it applies to
-    each field on its own.
-    """
-    return count_reduced_fields(P, [F], n_vars, budget=budget)[0]
-
-
-def count_reduced_fields(
-    P: MLPoly, fields, n_vars: int | None = None, *, budget: int | None = None
-) -> list[CountReport]:
-    """``count_reduced`` over each field of ``fields``, in order, from one
-    elimination over Z: only the fallback enumerations run per field.
-    ``budget`` applies to each field: it bounds the points enumerated by
-    that field's fallbacks together.
+    points).
     """
     if not P.is_multilinear():
         raise PreconditionUnmet("count_reduced expects a multilinear polynomial")
     if n_vars is None:
         n_vars = len(P.variables())
     budget = DEFAULT_BUDGET if budget is None else budget
-    fields = list(fields)
-    raws = _count_system([P], dict(enumerate(fields)), n_vars, budget, [0] * len(fields))
-    return [CountReport.from_raw(raws[i], F.q, n_vars) for i, F in enumerate(fields)]
+    return CountReport.from_raw(_count_system([P], F, n_vars, budget, [0]), F.q, n_vars)
 
 
-def _count_system(polys, fields: dict, n_vars: int, budget: int, spent: list) -> dict:
-    """Raw count of the system over each field of ``fields`` (index -> F_q),
-    by index; ``spent[i]`` accumulates the points enumerated for field i.
+def _count_system(polys, F: FqField, n_vars: int, budget: int, spent: list) -> int:
+    """Raw count of the common zeros of ``polys`` in F_q^{n_vars};
+    ``spent[0]`` accumulates the points of the fallback enumerations.
 
-    Over F_q the system keeps the polynomials that do not vanish mod p, and
-    a kept constant leaves no zeros.  The fields that keep the same
-    polynomials share each elimination step, made once over Z: the step
-    q a + b - c holds over every field for polynomials with integer
-    coefficients read mod p, and only the fallback enumerations run per
-    field.  So each field walks the tree that a call with it alone walks."""
-    # the gcd of the coefficients (0 for the zero polynomial) of each
-    # polynomial and constant: it vanishes mod p exactly when p divides it
-    constants, system = [], []
-    for P in polys:
-        g = math.gcd(*[c for _, c in P.terms()])
-        if P.monomial_count() < 2 and not P.degree():
-            constants.append(g)
-        else:
-            system.append((P, g))
-    groups = {}
-    for i, F in fields.items():
-        p = F.p
-        if not any(g % p for g in constants):
-            groups.setdefault(frozenset([P for P, g in system if g % p]), {})[i] = F
-    out = dict.fromkeys(fields, 0)
-    for kept, group in groups.items():
-        if kept:
-            out.update(_eliminate(list(kept), group, n_vars, budget, spent))
-        else:
-            out.update((i, F.q**n_vars) for i, F in group.items())
-    return out
-
-
-def _eliminate(system, fields: dict, n_vars: int, budget: int, spent: list) -> dict:
-    """``_count_system`` of one or more nonconstant polynomials that vanish
-    mod no field's characteristic."""
+    ``_prepare`` sorts the polynomials as every count does: one that
+    vanishes mod p constrains nothing, and a nonzero constant leaves no
+    zeros.  The others are kept once each, and the system in their m
+    variables is either walked whole (see ``count_reduced``) or split at a
+    linear variable v, P = g v + h, into q a + b - c: a counts the g and h
+    together, c the g alone and b the minors g_i h_j - g_j h_i, each in the
+    other m - 1 variables."""
+    fixed, walked, used, cone = _prepare(polys, F, n_vars, torus=False)
+    if 0 in fixed.values():
+        return 0
+    if not walked:
+        return F.q**n_vars
+    system, m = list(frozenset(walked)), len(used)
     monos = [mono for P in system for mono, _ in P.terms()]
     occ = Counter(v for mono in monos for v in mono)  # of a linear v: the monomials holding it
-    used = sorted(occ)
-    if n_vars < len(used):
-        raise PreconditionUnmet(f"system uses {len(used)} variables but ambient is {n_vars}")
-    m = len(used)
     # monomials are sorted tuples, so a repeated variable repeats in place
     squared = {x for mono in monos for x, y in zip(mono, mono[1:]) if x == y}
     linear_vars = [v for v in used if v not in squared]
     splits = linear_vars and len(system) <= _MAX_SYSTEM and len(monos) <= _MAX_MONOS
-    eliminated = {i: F for i, F in fields.items() if splits and F.q**m > _ENUMERATE_POINTS}
-    raw = {}
-    for i, F in fields.items():
-        if i in eliminated:
-            continue
-        spent[i] += F.q**m
-        if spent[i] > budget:
+    if splits and F.q**m > _ENUMERATE_POINTS:
+        v = max(linear_vars, key=lambda x: (occ[x], -x))
+        gs, hs = map(list, zip(*(P.coeff_and_rest(v) for P in system)))
+        a = _count_system(gs + hs, F, m - 1, budget, spent)
+        c = _count_system(gs, F, m - 1, budget, spent)
+        pairs = itertools.combinations(range(len(system)), 2)
+        minors = [gs[i] * hs[j] - gs[j] * hs[i] for i, j in pairs]
+        b = _count_system(minors, F, m - 1, budget, spent)
+        raw = F.q * a + b - c
+    else:
+        spent[0] += F.q**m
+        if spent[0] > budget:
             raise BudgetExceeded(
                 f"count_reduced's enumeration fallbacks exceed the budget of {budget} points"
             )
-        raw[i] = _count_common_zeros(system, F, m, torus=False)
-    if eliminated:
-        v = max(linear_vars, key=lambda x: (occ[x], -x))
-        gs, hs = [], []
-        for P in system:
-            g, h = P.coeff_and_rest(v)
-            gs.append(g)
-            hs.append(h)
-        a = _count_system(gs + hs, eliminated, m - 1, budget, spent)
-        c = _count_system(gs, eliminated, m - 1, budget, spent)
-        minors = [
-            gs[i] * hs[j] - gs[j] * hs[i]
-            for i in range(len(system))
-            for j in range(i + 1, len(system))
-        ]
-        b = _count_system(minors, eliminated, m - 1, budget, spent)
-        raw.update((i, F.q * a[i] + b[i] - c[i]) for i, F in eliminated.items())
-    return {i: raw[i] * F.q ** (n_vars - m) for i, F in fields.items()}
+        raw = _walk_zeros(_compile(system, F, {v: i for i, v in enumerate(used)}), F, m, cone=cone)
+    return raw * F.q ** (n_vars - m)
 
 
 # -- singular locus ----------------------------------------------------------

@@ -195,7 +195,7 @@ def test_cli_count_torus_rejects_reduced_method(capsys):
 
 
 def test_cli_count_reduced_budget_applies_to_each_field(capsys):
-    # psi(wheel:4)'s fallbacks enumerate 280 points at q = 2 and 2097 at q = 3
+    # psi(wheel:4) is enumerated whole: 256 points at q = 2 and 6561 at q = 3
     argv = ["count", "--family", "wheel:4", "--method", "reduced", "--budget", "1000"]
     assert run_cli(capsys, *argv, "--q", "2,2,2")[0] == 0
     code, out = run_cli(capsys, *argv, "--q", "2,3")

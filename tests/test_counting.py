@@ -11,7 +11,6 @@ from c2lab import counting
 from c2lab.counting import (
     chevalley_warning_check,
     count_reduced,
-    count_reduced_fields,
     count_via_inclusion_exclusion,
     count_via_torus_strata,
     count_zeros,
@@ -287,25 +286,21 @@ def test_system_walk_stops_once_no_point_is_left(monkeypatch):
     assert len(calls) == 1
 
 
-# -- one elimination for several fields ------------------------------------------
+# -- one elimination per field ------------------------------------------------
 
 MULTI_QS = (2, 3, 4, 5, 7, 8, 9)
 
 
-def test_count_reduced_fields_match_one_call_per_field(corpus):
-    # every field that fits in one call; each equals its own count_reduced
-    # call and the brute count
+def test_count_reduced_matches_brute_at_every_field(corpus):
+    # every field whose lattice has at most 2 * 10^5 points
     for name, G in corpus.items():
         qs = [q for q in MULTI_QS if q**G.edge_count <= 2 * 10**5]
         if not is_connected(G) or not qs:
             continue
-        fields = [make_field(q) for q in qs]
+        n = G.edge_count
         for P in (psi(G), phi(G)):
-            reports = count_reduced_fields(P, fields, G.edge_count)
-            assert [r.q for r in reports] == qs
-            for rep, F in zip(reports, fields):
-                assert rep == count_reduced(P, F, G.edge_count), (name, F.q)
-                assert rep == count_zeros([P], F, G.edge_count), (name, F.q)
+            for F in map(make_field, qs):
+                assert count_reduced(P, F, n) == count_zeros([P], F, n), (name, F.q)
 
 
 @st.composite
@@ -323,32 +318,33 @@ def multilinear_st(draw):
 @given(multilinear_st())
 @settings(max_examples=80, deadline=None)
 @seed(20142)
-def test_count_reduced_fields_match_per_field_counts_on_random_polys(system):
-    # the counts, and the points each field's fallbacks enumerate, are those
-    # of a call with that field alone
+def test_count_reduced_matches_brute_on_random_polys_at_every_field(system):
+    # each field's count is the brute count, and its budget is exactly the
+    # points that its fallbacks enumerate
     P, n = system
-    fields = [make_field(q) for q in (2, 3, 4, 5, 7)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_ENUMERATE_POINTS", 0)  # see ``eliminate``
-        reports = count_reduced_fields(P, fields, n)
-        spent = [0] * len(fields)
-        raws = counting._count_system([P], dict(enumerate(fields)), n, 10**9, spent)
-        for i, (rep, F) in enumerate(zip(reports, fields)):
-            assert rep == count_reduced(P, F, n) == count_zeros([P], F, n), F.q
-            alone = [0]
-            assert counting._count_system([P], {0: F}, n, 10**9, alone) == {0: raws[i]}
-            assert alone == [spent[i]], F.q
+        for F in map(make_field, (2, 3, 4, 5, 7)):
+            spent = [0]
+            raw = counting._count_system([P], F, n, 10**9, spent)
+            rep = count_reduced(P, F, n, budget=spent[0])
+            assert rep == count_zeros([P], F, n) and rep.raw == raw, F.q
+            if spent[0]:
+                with pytest.raises(BudgetExceeded):
+                    count_reduced(P, F, n, budget=spent[0] - 1)
 
 
 def test_each_field_keeps_the_polynomials_that_survive_mod_p():
     qs = (2, 3, 4, 5, 9)
-    fields = {i: make_field(q) for i, q in enumerate(qs)}
     const = MLPoly.constant
 
     def raws(polys, n_vars=2):
-        spent = [0] * len(qs)
-        out = counting._count_system(polys, fields, n_vars, 10**6, spent)
-        return [out[i] for i in range(len(qs))], spent
+        out, spent = [], []
+        for q in qs:
+            alone = [0]
+            out.append(counting._count_system(polys, make_field(q), n_vars, 10**6, alone))
+            spent += alone
+        return out, spent
 
     # 2 and 3 leave no zeros over any field, though their product 6 vanishes
     # mod 2 and mod 3; 6 alone constrains nothing over F_2, F_3, F_4 and F_9
@@ -359,15 +355,17 @@ def test_each_field_keeps_the_polynomials_that_survive_mod_p():
     assert raws([2 * a(i) for i in range(1, 6)], 5) == ([32, 1, 1024, 1, 1], [0, 3**5, 0, 5**5, 9**5])
 
 
-def test_count_reduced_fields_budget_applies_to_each_field(eliminate):
+def test_count_reduced_budget_bounds_each_fields_fallback_points(eliminate):
     # psi(wheel:4)'s fallbacks enumerate 280 points at q = 2 and 2097 at q = 3
     P, F2, F3 = psi(family("wheel", 4)), make_field(2), make_field(3)
-    assert count_reduced_fields(P, [F2, F2, F2], 8, budget=280)[0] == count_reduced(P, F2, 8)
+    assert count_reduced(P, F2, 8, budget=280) == count_zeros([P], F2, 8)
     with pytest.raises(BudgetExceeded):
         count_reduced(P, F2, 8, budget=279)
     with pytest.raises(BudgetExceeded):
-        count_reduced_fields(P, [F2, F3], 8, budget=1000)
+        count_reduced(P, F3, 8, budget=1000)
     assert count_reduced(P, F3, 8, budget=2097).raw == 2529
+    with pytest.raises(BudgetExceeded):
+        count_reduced(P, F3, 8, budget=2096)
 
 
 def test_count_reduced_enumerates_a_small_lattice_whole():
@@ -384,19 +382,15 @@ def test_count_reduced_enumerates_a_small_lattice_whole():
 
 def test_fields_on_both_sides_of_the_enumeration_size(monkeypatch):
     # with _ENUMERATE_POINTS = 3^8, psi(wheel:4) in 8 variables is enumerated
-    # at once over F_2 and F_3 (3^8 is not above the bound) and split over
-    # F_4; each field's count and points are those of a call with it alone
+    # at once over F_2 and F_3 (3^8 is not above the bound) and split over F_4
     monkeypatch.setattr(counting, "_ENUMERATE_POINTS", 3**8)
     P = psi(family("wheel", 4))
-    fields = [make_field(q) for q in (2, 3, 4)]
-    spent = [0] * len(fields)
-    raws = counting._count_system([P], dict(enumerate(fields)), 8, 10**9, spent)
-    assert spent[:2] == [2**8, 3**8] and spent[2] < 4**8
-    for i, F in enumerate(fields):
+    spent = []
+    for F in map(make_field, (2, 3, 4)):
         alone = [0]
-        assert counting._count_system([P], {0: F}, 8, 10**9, alone) == {0: raws[i]}
-        assert alone == [spent[i]], F.q
-        assert raws[i] == count_zeros([P], F, 8).raw, F.q
+        assert counting._count_system([P], F, 8, 10**9, alone) == count_zeros([P], F, 8).raw, F.q
+        spent += alone
+    assert spent[:2] == [2**8, 3**8] and spent[2] < 4**8
 
 
 # -- the cone walk -------------------------------------------------------------
@@ -538,6 +532,46 @@ def test_cone_route_needs_homogeneous_systems(monkeypatch):
     count_zeros([a(1) * a(2) + 3 * a(3)], make_field(3), 3)
     count_zeros([a(1) * a(2) + 3 * a(3)], make_field(5), 3)
     assert routes(calls) == [False, True, False]
+
+
+def plain_zeros(polys, q, n, torus=False):
+    """(zeros of each polynomial, common zeros) in F_q^n for a prime q (on
+    the torus, with ``torus``), by a Python loop over the points."""
+    each, common = [0] * len(polys), 0
+    for x in itertools.product(range(1 if torus else 0, q), repeat=n):
+        zero = [
+            sum(c * math.prod(x[v - 1] for v in mono) for mono, c in P.terms()) % q == 0
+            for P in polys
+        ]
+        each = [k + z for k, z in zip(each, zero)]
+        common += all(zero)
+    return each, common
+
+
+@pytest.mark.parametrize("torus", (False, True))
+def test_non_homogeneous_system_with_outer_coordinates_matches_a_plain_loop(monkeypatch, torus):
+    # two seeded polynomials of degrees 0..3 in 7 variables at q = 5, in
+    # blocks of at most 5^5 points: the affine walk (5^7 = 78,125 points)
+    # and the torus walk (4^7) each have two outer coordinates, so a cone
+    # walk, one outer assignment per line, would miscount them
+    monkeypatch.setattr(counting, "_BLOCK_TARGET", 5**5)
+    rng = random.Random(26)
+    polys = []
+    for linear in (range(1, 8), ()):
+        monos = {(): rng.randint(1, 4), **{(v,): rng.randint(1, 4) for v in linear}}
+        for d in (2, 2, 3, 3):
+            monos[tuple(sorted(rng.sample(range(1, 8), d)))] = rng.randint(1, 4)
+        polys.append(MLPoly(monos))
+    F = make_field(5)
+    each, common = plain_zeros(polys, 5, 7, torus)
+    calls = spy_walks(monkeypatch)
+    count = count_zeros_torus if torus else count_zeros
+    assert count(polys, F, 7).raw == common
+    assert [rep.raw for rep in count_zeros_each(polys, F, 7, torus=torus)] == each
+    if not torus:
+        assert count_reduced(polys[0], F, 7).raw == each[0]
+    assert routes(calls) == [False] * len(calls)
+    assert all(m == 7 and counting._block(F, m, torus)[1] == 5 for _, m, _ in calls)
 
 
 def test_cone_route_of_rank_histogram_needs_one_entry_degree(monkeypatch):

@@ -639,6 +639,16 @@ def test_scans_count_subquotient_classes_without_dodgson_minors(monkeypatch):
     assert admissible_at_q(G, [F])[0].admissible
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_thm2_as_coded_fails_on_two_corpus_graphs_with_two_loops(q, corpus):
+    # counterexamples to Thm2 under its coded hypothesis h, n >= 2 (README)
+    F = make_field(q)
+    g2 = verify("Thm2", corpus["G2"], F)
+    assert not g2.passed and g2.details == {"c2_param": 0, "c2_dual": q - 1}
+    loop = verify("Thm2", corpus["triangle_loop"], F)
+    assert not loop.passed and loop.details == {"c2_param": q - 1, "c2_dual": 0}
+
+
 def test_verify_registry():
     K4 = family("complete", 4)
     F2, F3 = make_field(2), make_field(3)

@@ -43,3 +43,21 @@ def test_every_cached_target_has_cache_info():
         if not hasattr(getattr(importlib.import_module(f"c2lab.{modules[name]}"), name), "cache_info")
     ]
     assert missing == []
+
+
+def test_cli_counts_reduced_through_the_traced_target(monkeypatch):
+    # the tracer replaces counting.count_reduced wherever it is bound, so
+    # each --q of `count --method reduced` is one traced call
+    from c2lab import cli, counting
+
+    assert ("counting", "count_reduced") in _constant("TARGETS")
+    assert cli.count_reduced is counting.count_reduced
+    calls = []
+
+    def spy(P, F, *args, **kwargs):
+        calls.append(F.q)
+        return counting.count_reduced(P, F, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "count_reduced", spy)
+    assert cli.main(["count", "--family", "wheel:3", "--q", "2,3,2", "--method", "reduced"]) == 0
+    assert calls == [2, 3, 2]
