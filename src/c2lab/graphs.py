@@ -573,58 +573,50 @@ def family(name: str, n: int) -> Graph:
     raise UnknownFamily(f"unknown family {name!r}")
 
 
-def _degree_profile(G: Graph):
-    deg = [0] * (G.vertex_count + 1)
-    loops = [0] * (G.vertex_count + 1)
-    for u, v in G.edges:
-        deg[u] += 1
-        deg[v] += 1
-        if u == v:
-            loops[u] += 1
-    return deg, loops
-
-
 def canonical_form(G: Graph) -> tuple:
-    """Canonical edge multiset under vertex relabeling (label-blind).
+    """Canonical edge multiset under vertex relabeling (label-blind), by
+    individualization-refinement (McKay and Piperno, 2014).
 
-    Vertices are first partitioned by iteratively refined (degree, loop)
-    colors; only permutations preserving the partition are tried.  Fine for
-    desk-scale graphs (<= 8 vertices).
+    An ordered vertex partition is refined until no cell splits: a cell
+    splits by the sorted cell indices of its vertices' neighbours (a loop
+    lists its own vertex twice), the parts in the order of those lists.
+    Then each vertex of the first cell still holding several gets a cell of
+    its own in turn, and the search recurses.  A partition into single
+    vertices numbers the vertices in cell order; the form is (V, the least
+    sorted edge tuple over all such leaves).  Only label-free data orders
+    the cells, so isomorphic graphs get one form.
     """
     V = G.vertex_count
-    deg, loops = _degree_profile(G)
-    color = {v: (deg[v], loops[v]) for v in range(1, V + 1)}
-    for _ in range(V):
-        new = {}
-        for v in range(1, V + 1):
-            nb = sorted(
-                color[u if w == v else w]
-                for u, w in G.edges
-                if v in (u, w) and u != w
-            )
-            new[v] = (color[v], tuple(nb))
-        if len(set(new.values())) == len(set(color.values())):
-            color = new
-            break
-        color = new
-    classes: dict = {}
-    for v in range(1, V + 1):
-        classes.setdefault(color[v], []).append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    best = None
-    for perms in itertools.product(*(itertools.permutations(c) for c in ordered)):
-        mapping = {}
-        pos = 1
-        for cls, perm in zip(ordered, perms):
-            for v in perm:
-                mapping[v] = pos
-                pos += 1
-        key = tuple(
-            sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in G.edges)
-        )
-        if best is None or key < best:
-            best = key
-    return (V, best)
+    nbrs: list[list[int]] = [[] for _ in range(V + 1)]
+    for u, v in G.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    leaves = []
+
+    def search(cells: list[list[int]]) -> None:
+        while True:
+            index = {v: i for i, c in enumerate(cells) for v in c}
+            split = []
+            for c in cells:
+                if len(c) == 1:
+                    split.append(c)
+                    continue
+                parts: dict[tuple, list[int]] = {}
+                for v in c:
+                    parts.setdefault(tuple(sorted(index[u] for u in nbrs[v])), []).append(v)
+                split += (parts[sig] for sig in sorted(parts))
+            if len(split) == len(cells):
+                break
+            cells = split
+        for i, c in enumerate(cells):
+            if len(c) > 1:
+                for v in c:
+                    search(cells[:i] + [[v], [u for u in c if u != v]] + cells[i + 1 :])
+                return
+        leaves.append(tuple(sorted(tuple(sorted((index[u], index[v]))) for u, v in G.edges)))
+
+    search([list(range(1, V + 1))])
+    return (V, min(leaves))
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:
@@ -639,6 +631,8 @@ def connected_multigraphs(max_edges: int) -> list[Graph]:
     Built by edge augmentation (every connected multigraph has an edge order
     whose prefixes are connected), deduplicated by canonical form.
     """
+    if max_edges < 1:
+        return []
     seed = [Graph(((1, 2),), 2), Graph(((1, 1),), 1)]
     levels = {1: {canonical_form(g): g for g in seed}}
     out = list(levels[1].values())

@@ -18,9 +18,12 @@ from c2lab.graphs import (
     girth_at_most,
     is_connected,
     is_forest_in,
+    is_isomorphic,
     subquotient,
 )
 from c2lab.invariants import (
+    FIELD_FREE_THEOREMS,
+    THEOREM_IDS,
     AdmissibilityReport,
     admissible_at_q,
     admissible_structural,
@@ -647,6 +650,28 @@ def test_thm2_as_coded_fails_on_two_corpus_graphs_with_two_loops(q, corpus):
     assert not g2.passed and g2.details == {"c2_param": 0, "c2_dual": q - 1}
     loop = verify("Thm2", corpus["triangle_loop"], F)
     assert not loop.passed and loop.details == {"c2_param": q - 1, "c2_dual": 0}
+
+
+def test_every_statement_on_every_multigraph_to_six_edges(catalog6, corpus):
+    # each verify id on the 470 connected multigraphs with N <= 6 at q = 2, 3
+    # (the census ids once, with no field): a report passes or the check
+    # raises a documented error, but for the two Thm2 counterexamples above
+    fields = [make_field(2), make_field(3)]
+    failed = []
+    for G in catalog6:
+        for theorem in THEOREM_IDS:
+            for F in [None] if theorem in FIELD_FREE_THEOREMS else fields:
+                try:
+                    report = verify(theorem, G, F, budget=10**7)
+                except (PreconditionUnmet, BudgetExceeded):
+                    continue
+                if not report.passed:
+                    name = [k for k in ("G2", "triangle_loop") if is_isomorphic(G, corpus[k])]
+                    failed.append((theorem, report.q, name))
+    assert sorted(failed) == [
+        ("Thm2", 2, ["G2"]), ("Thm2", 2, ["triangle_loop"]),
+        ("Thm2", 3, ["G2"]), ("Thm2", 3, ["triangle_loop"]),
+    ]
 
 
 def test_verify_registry():
