@@ -337,7 +337,7 @@ def rank_histogram(M: PolyMatrix, F: FqField, labels) -> list[list[int]]:
     N, d = len(labels), M.dim
     cone = len(set().union(*(_degrees(e, F.p) for row in M.entries for e in row))) <= 1
     values, b = _block(F, N, False)
-    cols, n_outer = _grid(F.codes(values), b), N - b
+    cols, n_outer = _grid(values.astype(np.uint8), b), N - b  # codes in the tables' dtype
     inner_zeros = (cols == 0).sum(axis=0)
 
     def tally(outer) -> np.ndarray:

@@ -8,8 +8,6 @@ and 1 for every supported q).
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import UnsupportedQ
@@ -67,12 +65,11 @@ class FqField:
     """Arithmetic tables for F_q with element enumeration 0..q-1.
 
     The batched rank (``matform.block_rank``) uses the array arithmetic
-    ``vadd``, ``vsub``, ``vmul``, ``reduce`` and ``codes`` on codes or numpy
-    arrays of codes.  For prime q these are int64 integers, unreduced until
-    ``reduce`` takes them mod p, and ``vadd(acc, b)`` adds into an array
-    ``acc`` in place, so its first operand must be an accumulator the
-    caller owns.  For prime powers they are uint8 table lookups, always
-    reduced, and ``reduce`` is the identity.
+    ``vadd``, ``vsub`` and ``vmul`` on codes or numpy arrays of codes: each
+    is one lookup ``table.take(a * q + b)`` into a flat q*q table of uint8
+    codes, the same for every q, and returns new, reduced codes.  uint8
+    operands stay uint8 through a * q + b, which is at most q^2 - 1 = 168
+    for q <= 13.
 
     The counting evaluator's matrix products over F_q run on F_p digits:
     ``digits[c]`` holds the s base-p digits of code c, and ``mul_matrix[c]``
@@ -87,17 +84,11 @@ class FqField:
         self.s = s
         self.irreducible = irreducible
         self._build_tables()
-        if self.is_prime:
-            self.code_dtype = np.int64
-            self.vadd, self.vsub, self.vmul = operator.iadd, operator.sub, operator.mul
-            self.reduce = lambda x: x % q
-        else:
-            self.code_dtype = np.uint8
-            add, mul, neg = self.add_table, self.mul_table, self.neg_table
-            self.vadd = lambda a, b: add[a, b]
-            self.vsub = lambda a, b: add[a, neg[b]]
-            self.vmul = lambda a, b: mul[a, b]
-            self.reduce = lambda x: x
+        add, mul = self.add_table.ravel(), self.mul_table.ravel()
+        sub = self.add_table[:, self.neg_table].ravel()  # sub[a * q + b] = a - b
+        self.vadd = lambda a, b: add.take(a * q + b)
+        self.vsub = lambda a, b: sub.take(a * q + b)
+        self.vmul = lambda a, b: mul.take(a * q + b)
 
     @property
     def is_prime(self) -> bool:
@@ -149,10 +140,6 @@ class FqField:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return int(self.inv_table[a])
-
-    def codes(self, values: np.ndarray) -> np.ndarray:
-        """An array of element codes in the dtype of the array arithmetic."""
-        return values.astype(self.code_dtype)
 
     def embed_int(self, c: int) -> int:
         """The image of an integer in F_q (c mod p at digit 0)."""

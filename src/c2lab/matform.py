@@ -289,17 +289,17 @@ def block_rank(M: PolyMatrix, point: dict, F) -> np.ndarray:
     """
     d = M.dim
     lanes = max((np.size(v) for v in point.values()), default=1)
-    # int16 holds every entry and elimination product: below 13^2 for q <= 13
-    A = np.zeros((lanes, d, d), dtype=np.int16)
+    # uint8 holds every code and every table index a * q + b < q^2 <= 169
+    A = np.zeros((lanes, d, d), dtype=np.uint8)
     for i in range(d):
         for j in range(d):
             acc = 0
             for mono, c in M[i, j].terms():
                 term = F.embed_int(c)
                 for x in mono:
-                    term = F.reduce(F.vmul(term, point[x]))
+                    term = F.vmul(term, point[x])
                 acc = F.vadd(acc, term)
-            A[:, i, j] = F.reduce(acc)
+            A[:, i, j] = acc
     lane = np.arange(lanes)
     free = np.ones((lanes, d), dtype=bool)  # rows not yet taken as a pivot
     for c in range(d):
@@ -309,9 +309,9 @@ def block_rank(M: PolyMatrix, point: dict, F) -> np.ndarray:
         prow = A[lane, piv]
         # Clear column c from the free rows; lanes without a pivot have only
         # zeros there, so they are left as they are.
-        f = F.reduce(F.vmul(A[:, :, c], F.inv_table[prow[:, c]][:, None]))
+        f = F.vmul(A[:, :, c], F.inv_table[prow[:, c]][:, None])
         f[~free] = 0
-        A = F.reduce(F.vsub(A, F.vmul(f[:, :, None], prow[:, None, :])))
+        A = F.vsub(A, F.vmul(f[:, :, None], prow[:, None, :]))
     return d - free.sum(axis=1)
 
 

@@ -588,28 +588,19 @@ def test_cone_route_of_rank_histogram_needs_one_entry_degree(monkeypatch):
 # numpy pass over the block per factor of every monomial, in the field's
 # array arithmetic, over every outer assignment (no cone).
 
-_WINDOW = 40000  # int64 terms summed between reductions mod p
-
-
 def _inner_columns(values, b):
     L = len(values)
     return [np.tile(np.repeat(values, L ** (b - 1 - j)), L**j) for j in range(b)]
 
 
-def _wide(pos, p):
-    return _WINDOW * (p - 1) ** (len(pos) + 1) + p >= 2**63
-
-
 def _eval_block(monos, F, outer, cols, n_outer):
     acc = 0
-    for k, (coeff, pos, wide) in enumerate(monos):
-        if k % _WINDOW == 0:
-            acc = F.reduce(acc)
+    for coeff, pos in monos:
         scalar = coeff
         inner = []
         for t in pos:
             if t < n_outer:
-                scalar = F.reduce(F.vmul(scalar, outer[t]))
+                scalar = F.vmul(scalar, outer[t])
             else:
                 inner.append(t - n_outer)
         if scalar == 0:
@@ -618,18 +609,15 @@ def _eval_block(monos, F, outer, cols, n_outer):
             term = F.vmul(cols[inner[0]], scalar)
             for t in inner[1:]:
                 term = F.vmul(term, cols[t])
-                if wide:
-                    term = F.reduce(term)
             acc = F.vadd(acc, term)
         else:
             acc = F.vadd(acc, scalar)
-    return F.reduce(acc)
+    return acc
 
 
 def eval_block_monos(P, F, index):
     """P compiled for ``_eval_block``, variable v at coordinate index[v]."""
-    monos = [(c % F.p, tuple(index[v] for v in mono)) for mono, c in P.terms() if c % F.p]
-    return [(c, pos, _wide(pos, F.p)) for c, pos in monos]
+    return [(c % F.p, tuple(index[v] for v in mono)) for mono, c in P.terms() if c % F.p]
 
 
 def eval_block_grid(F, n_vars, torus):
@@ -638,7 +626,7 @@ def eval_block_grid(F, n_vars, torus):
     b = 0
     while b < n_vars and len(values) ** (b + 1) <= counting._BLOCK_TARGET:
         b += 1
-    return values, b, _inner_columns(F.codes(values), b)
+    return values, b, _inner_columns(values, b)
 
 
 def eval_block_zeros(polys, F, n_vars, *, torus=False, any_zero=False):

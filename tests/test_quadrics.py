@@ -223,7 +223,18 @@ def pointwise_rank(rows, F):
 
 
 @pytest.mark.parametrize(
-    "q, subset", ((3, (1, 2, 3, 4, 5, 6)), (4, (1, 2, 5, 6, 7)), (9, (1, 3, 5)), (13, (1, 3, 5)))
+    "q, subset",
+    (
+        (3, (1, 2, 3, 4, 5, 6)),
+        (4, (1, 2, 5, 6, 7)),
+        (9, (1, 3, 5)),
+        (13, (1, 3, 5)),
+        (2, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (5, (1, 2, 3, 5, 6, 8)),
+        (7, (2, 3, 4, 6, 7)),
+        (8, (1, 4, 5, 7)),
+        (11, (1, 2, 6, 8)),
+    ),
 )
 def test_rank_sums_match_pointwise_elimination(q, subset):
     G = family("wheel", 4)
