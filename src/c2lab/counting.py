@@ -567,7 +567,7 @@ def sing_count(
         polys = [f] + [f.coeff_and_rest(k)[0] for k in sorted(G.labels)]
         return count_zeros(polys, F, N, budget=budget)
     if method == "jacobian_tree":
-        T = sorted(spanning_trees(G), key=lambda t: sorted(t))[0]
+        T = spanning_trees(G)[0]  # the least tree, in bitmask and in sorted-label order
         polys = [f] + [f.coeff_and_rest(k)[0] for k in sorted(T)]
         return count_zeros(polys, F, N, budget=budget)
     if method == "rank":

@@ -89,32 +89,36 @@ class Graph:
         return is_connected(self) and self.edge_count == 2 * self.h
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size + 1))
+def _classes(V: int, edges) -> tuple[list[int], bool]:
+    """Join ``edges``, pairs over the vertices 1..V: each vertex's least
+    class vertex (entry 0 is 0), and whether the edges hold no cycle (a
+    self-loop is one).
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    A link puts the greater root under the lesser, as ``spanning_tree_labels``
+    and ``_ScanGraph.classes`` do, so every link points to a lesser vertex
+    and a class's root is its least vertex.  Root walks halve their paths.
+    """
+    up = list(range(V + 1))
+    forest = True
+    for a, b in edges:
+        while up[a] != a:
+            up[a] = a = up[up[a]]
+        while up[b] != b:
+            up[b] = b = up[up[b]]
+        if a == b:
+            forest = False
+        else:
+            up[max(a, b)] = min(a, b)
+    for v in range(V + 1):  # a lesser vertex already points at its root
+        up[v] = up[up[v]]
+    return up, forest
 
 
 def components(G: Graph) -> list[frozenset]:
-    uf = _UnionFind(G.vertex_count)
-    for u, v in G.edges:
-        uf.union(u, v)
+    least, _ = _classes(G.vertex_count, G.edges)
     groups: dict[int, set] = {}
     for v in range(1, G.vertex_count + 1):
-        groups.setdefault(uf.find(v), set()).add(v)
+        groups.setdefault(least[v], set()).add(v)
     return [frozenset(g) for g in groups.values()]
 
 
@@ -163,20 +167,9 @@ def delete(G: Graph, I) -> Graph:
     return Graph(edges, G.vertex_count, labels)
 
 
-def _forest(G: Graph, positions) -> _UnionFind | None:
-    """The union-find of the edges of G at ``positions``, or None when they
-    hold a cycle (a self-loop is one)."""
-    uf = _UnionFind(G.vertex_count)
-    for i in positions:
-        u, v = G.edges[i]
-        if u == v or not uf.union(u, v):
-            return None
-    return uf
-
-
 def is_forest_in(G: Graph, J) -> bool:
     """True iff the edges labeled by J contain no cycle of G."""
-    return _forest(G, _positions(G, J)) is not None
+    return _classes(G.vertex_count, [G.edges[i] for i in _positions(G, J)])[1]
 
 
 def contract(G: Graph, J) -> Graph:
@@ -184,27 +177,24 @@ def contract(G: Graph, J) -> Graph:
 
     An edge set is contractible iff it contains no cycle of G, so the error
     does not depend on the order of contraction.  Parallel edges created by
-    vertex identification are retained.  The merged vertices are numbered
-    by their least vertex of G, so the result does not depend on the order
-    either; ``PairBlock.keys`` numbers them the same way.
+    vertex identification are retained.  A merged vertex is numbered by the
+    rank of its least vertex of G among the classes' least vertices, so the
+    result does not depend on the order either; ``PairBlock.keys`` numbers
+    them the same way.
     """
     drop = set(_positions(G, J))
-    uf = _forest(G, drop)
-    if uf is None:
+    least, forest = _classes(G.vertex_count, [G.edges[i] for i in drop])
+    if not forest:
         raise SelfLoopContraction(
             f"edge set {sorted(J)} contains a cycle; contracting it would "
             "contract a self-loop"
         )
-    new_id = {}  # root -> new vertex, in the order of each class's least vertex
-    for v in range(1, G.vertex_count + 1):
-        new_id.setdefault(uf.find(v), len(new_id) + 1)
+    rank = {x: i for i, x in enumerate(sorted(set(least)))}  # least[0] = 0 ranks 0
     edges = tuple(
-        (new_id[uf.find(u)], new_id[uf.find(v)])
-        for i, (u, v) in enumerate(G.edges)
-        if i not in drop
+        (rank[least[u]], rank[least[v]]) for i, (u, v) in enumerate(G.edges) if i not in drop
     )
     labels = tuple(l for i, l in enumerate(G.labels) if i not in drop)
-    return Graph(edges, len(new_id), labels)
+    return Graph(edges, len(rank) - 1, labels)
 
 
 def subquotient(G: Graph, deleted, contracted) -> Graph:
@@ -447,10 +437,11 @@ class PairBlock:
         and ``inverse[m]`` the key of the m-th such pair.
 
         A key is (vertex count, sorted edge tuple) of ``subquotient(G, I,
-        J)``, its merged vertices numbered by least vertex as ``contract``
-        does, so ``Graph(key[1], key[0])`` rebuilds the subquotient with
-        labels 1..N.  Isomorphism class, girth, planarity and the count of
-        phi are label-blind, so the key decides them.
+        J)``, each merged vertex numbered by the rank of its least vertex
+        among the classes' least vertices, as ``contract`` does, so
+        ``Graph(key[1], key[0])`` rebuilds the subquotient with labels 1..N.
+        Isomorphism class, girth, planarity and the count of phi are
+        label-blind, so the key decides them.
         """
         g = self._graph
         sel = np.flatnonzero(self.good)

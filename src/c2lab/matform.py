@@ -176,77 +176,52 @@ class TreeDiagonalization:
     start: PolyMatrix  # re-rooted, re-ordered P_G before the ops
 
 
-def _dfs_numeration(G: Graph, tree_labels):
-    """Number tree edges top-to-bottom, left-to-right from a leaf root.
-
-    Children are visited in input edge order.  Returns (root, edge order,
-    child vertex of each numbered edge, parent edge position of each edge or
-    None for edges at the root).
-    """
-    tset = set(tree_labels)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, G.vertex_count + 1)}
-    for pos, (lab, (u, v)) in enumerate(zip(G.labels, G.edges)):
-        if lab in tset:
-            adj[u].append((lab, v))
-            adj[v].append((lab, u))
-    deg = {v: len(adj[v]) for v in adj}
-    leaves = [v for v in adj if deg[v] == 1]
-    root = min(leaves) if leaves else 1
-    order: list[int] = []
-    child_of: list[int] = []
-    parent_pos: list[int | None] = []
-    seen = {root}
-
-    def walk(v: int, incoming_pos: int | None):
-        for lab, w in adj[v]:
-            if w in seen:
-                continue
-            seen.add(w)
-            order.append(lab)
-            child_of.append(w)
-            parent_pos.append(incoming_pos)
-            walk(w, len(order) - 1)
-
-    walk(root, None)
-    return root, order, child_of, parent_pos
-
-
 def diagonalize_wrt_tree(G: Graph, T) -> TreeDiagonalization:
     """Confine each tree variable to one diagonal entry with unit coefficient.
 
-    Ops are emitted per internal vertex, deepest level first (ties by the
-    smallest child-edge number), children in descending edge number; this
-    reproduces the worked sequence (4,2),(3,2),(6,5),(5,1),(2,1) on the
-    reference 7-vertex tree.
+    One preorder walk from a leaf root (the least leaf) numbers the tree
+    edges top-to-bottom, left-to-right, visiting children in input edge
+    order, and records each edge's label, child vertex, parent edge
+    position and depth.  Ops are emitted per parent edge, deepest level
+    first, then in walk order (in preorder a parent's first child follows
+    it, so this is the order of least child edge), children in descending
+    edge number; this reproduces the worked sequence
+    (4,2),(3,2),(6,5),(5,1),(2,1) on the reference 7-vertex tree.
     """
     T = frozenset(T)
     if not is_connected(G):
         raise NotConnected("diagonalization requires a connected graph")
     if len(T) != G.n or not T <= G.label_set or not is_forest_in(G, T):
         raise NotSpanningTree(f"{sorted(T)} is not a spanning tree")
-    root, order, child_of, parent_pos = _dfs_numeration(G, T)
-    vertex_order = tuple(child_of)
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, G.vertex_count + 1)}
+    for lab, (u, v) in zip(G.labels, G.edges):
+        if lab in T:
+            adj[u].append((lab, v))
+            adj[v].append((lab, u))
+    root = min((v for v in adj if len(adj[v]) == 1), default=1)
+    tree_order: list[int] = []
+    vertex_order: list[int] = []
+    below = []  # (depth, parent position, position) of each edge not at the root
+
+    def walk(v: int, came_by: int | None, parent: int, depth: int) -> None:
+        for lab, w in adj[v]:
+            if lab != came_by:
+                tree_order.append(lab)
+                vertex_order.append(w)
+                at = len(tree_order)  # 1-based, as RowColOp counts
+                if parent:
+                    below.append((depth, parent, at))
+                walk(w, lab, at, depth + 1)
+
+    walk(root, None, 0, 0)
+    below.sort(key=lambda e: (-e[0], e[1], -e[2]))
+    ops = tuple(RowColOp(at, parent) for _, parent, at in below)
     start = gram_matrix(incidence(G, vertex_order), G.labels, len(vertex_order))
-    n = len(order)
-    depth = [0] * n
-    for i in range(n):
-        p = parent_pos[i]
-        depth[i] = 0 if p is None else depth[p] + 1
-    children: dict[int | None, list[int]] = {}
-    for i in range(n):
-        children.setdefault(parent_pos[i], []).append(i)
-    internal = [p for p in children if p is not None]
-    internal.sort(key=lambda p: (-depth[p], min(children[p])))
-    ops = []
-    for p in internal:
-        for c in sorted(children[p], reverse=True):
-            ops.append(RowColOp(c + 1, p + 1))
-    mat = start.apply_ops(ops)
     return TreeDiagonalization(
-        matrix=mat,
-        ops=tuple(ops),
-        vertex_order=vertex_order,
-        tree_order=tuple(order),
+        matrix=start.apply_ops(ops),
+        ops=ops,
+        vertex_order=tuple(vertex_order),
+        tree_order=tuple(tree_order),
         root=root,
         start=start,
     )

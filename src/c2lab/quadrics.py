@@ -49,7 +49,7 @@ from .counting import (
 )
 from .errors import PreconditionUnmet
 from .fields import FqField
-from .graphs import Graph, delete, incidence, is_connected
+from .graphs import Graph, incidence, is_connected
 from .matform import PolyMatrix, gram_matrix, p_matrix
 from .multipoly import MLPoly, phi
 
@@ -164,10 +164,11 @@ def quadric_congruence_rhs(G: Graph, F: FqField, *, budget: int | None = None) -
     (-q)^(2n-N) ([phi_G] + q^2 [Sing(Z_G)] - q sum_i [phi_{G\\i}]
                  + q^2 sum_{i<j} [phi_{G\\ij}])   (mod q^3)
 
-    phi_G, every phi_{G\\i} and every phi_{G\\ij} are counted by one
-    ``count_zeros_each`` call over F_q^N, where a deletion's count is q or
-    q^2 times its count over F_q^(N-1) or F_q^(N-2); the divisions are
-    asserted exact.
+    The trees of G\\d are the trees of G that avoid d, so phi_{G\\d} is
+    phi_G with a_d = 0.  phi_G, every phi_{G\\i} and every phi_{G\\ij} are
+    counted by one ``count_zeros_each`` call over F_q^N, where a deletion's
+    count is q or q^2 times its count over F_q^(N-1) or F_q^(N-2); the
+    divisions are asserted exact.
     """
     N, n = G.edge_count, G.n
     if N > 2 * n:
@@ -177,7 +178,8 @@ def quadric_congruence_rhs(G: Graph, F: FqField, *, budget: int | None = None) -
     q = F.q
     labels = sorted(G.labels)
     deleted = [{i} for i in labels] + [set(ij) for ij in itertools.combinations(labels, 2)]
-    polys = [phi(G)] + [phi(delete(G, d)) for d in deleted]
+    f = phi(G)
+    polys = [f] + [f.subs_zero(d) for d in deleted]
     phi_count, *counts = (rep.raw for rep in count_zeros_each(polys, F, N, budget=budget))
     sing = sing_count(G, F, "jacobian", budget=budget).raw
     sums = {1: 0, 2: 0}  # the deletions' counts over F_q^(N-1) and F_q^(N-2)

@@ -263,6 +263,14 @@ def test_tree_walk_matches_combination_filter_on_random_multigraphs(G):
     _assert_walk_matches_filter(G)
 
 
+def test_first_spanning_tree_is_least_in_sorted_label_order(corpus, catalog6):
+    # the greedy basis of a graphic matroid is least in bitmask order and in
+    # the order of sorted labels, so sing_count and cli diag take trees[0]
+    for G in catalog6 + list(corpus.values()):
+        trees = spanning_trees(G)
+        assert trees[0] == min(trees, key=sorted), G.edges
+
+
 def test_spanning_trees_beyond_64_edges():
     trees = spanning_trees(family("cycle", 70))
     assert len(trees) == 70
@@ -645,6 +653,53 @@ def test_kernel_matches_delete_contract_on_random_multigraphs(case):
     assert _kernel_agrees_with_contract(G, [size]) == math.comb(G.edge_count, size[0]) * math.comb(
         G.edge_count - size[0], size[1]
     )
+
+
+def _bfs_classes(V, edges):
+    """Reference for ``graphs._classes``: each vertex's least vertex of its
+    BFS component (entry 0 is 0), and whether |edges| = V - components."""
+    adj = {v: [] for v in range(1, V + 1)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    least = [0] * (V + 1)
+    for s in range(1, V + 1):
+        if least[s]:
+            continue
+        least[s], frontier = s, [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if not least[y]:
+                        least[y] = s
+                        nxt.append(y)
+            frontier = nxt
+    components = sum(least[v] == v for v in range(1, V + 1))
+    return least, len(edges) == V - components
+
+
+def test_classes_match_bfs_on_every_edge_subset(corpus, catalog6):
+    for G in catalog6 + list(corpus.values()):
+        for k in range(G.edge_count + 1):
+            for sub in itertools.combinations(G.edges, k):
+                assert graphs._classes(G.vertex_count, sub) == _bfs_classes(G.vertex_count, sub), (G.edges, sub)
+
+
+@st.composite
+def edge_subsets(draw):
+    """The vertex count of a loopy multigraph and a subset of its edges."""
+    G = draw(labeled_multigraphs())
+    keep = draw(st.lists(st.booleans(), min_size=G.edge_count, max_size=G.edge_count))
+    return G.vertex_count, [e for e, k in zip(G.edges, keep) if k]
+
+
+@seed(29)
+@given(edge_subsets())
+@settings(max_examples=150, deadline=None)
+def test_classes_match_bfs_on_random_multigraphs(case):
+    V, edges = case
+    assert graphs._classes(V, edges) == _bfs_classes(V, edges)
 
 
 def test_delete_contract_commute(corpus):

@@ -4,12 +4,14 @@ import pytest
 
 from c2lab.errors import NotConnected, NotSpanningTree
 from c2lab.fields import make_field
-from c2lab.graphs import Graph, family, is_connected, spanning_trees
+from c2lab.corpus import named_graphs
+from c2lab.graphs import Graph, family, incidence, is_connected, spanning_trees
 from c2lab.matform import (
     PolyMatrix,
     RowColOp,
     diagonalize_wrt_tree,
     eval_rank,
+    gram_matrix,
     p_matrix,
     tree_occurrence_contract,
     tree_occurrence_contract_mod_nontree,
@@ -106,6 +108,79 @@ def test_k4_all_trees_contract():
         assert tree_occurrence_contract(d), T
         assert d.matrix.det() == target, T
         assert d.start.apply_ops(d.ops).entries == d.matrix.entries
+
+
+def _dfs_numeration(G: Graph, tree_labels):
+    """Number tree edges top-to-bottom, left-to-right from a leaf root.
+
+    Children are visited in input edge order.  Returns (root, edge order,
+    child vertex of each numbered edge, parent edge position of each edge or
+    None for edges at the root).
+    """
+    tset = set(tree_labels)
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, G.vertex_count + 1)}
+    for pos, (lab, (u, v)) in enumerate(zip(G.labels, G.edges)):
+        if lab in tset:
+            adj[u].append((lab, v))
+            adj[v].append((lab, u))
+    deg = {v: len(adj[v]) for v in adj}
+    leaves = [v for v in adj if deg[v] == 1]
+    root = min(leaves) if leaves else 1
+    order: list[int] = []
+    child_of: list[int] = []
+    parent_pos: list[int | None] = []
+    seen = {root}
+
+    def walk(v: int, incoming_pos: int | None):
+        for lab, w in adj[v]:
+            if w in seen:
+                continue
+            seen.add(w)
+            order.append(lab)
+            child_of.append(w)
+            parent_pos.append(incoming_pos)
+            walk(w, len(order) - 1)
+
+    walk(root, None)
+    return root, order, child_of, parent_pos
+
+
+def _reference_diagonalization(G: Graph, T):
+    """The tree numbering and op order that ``diagonalize_wrt_tree`` had
+    before its one preorder walk, kept verbatim as the reference: a
+    four-list walk, a depth pass, a children map, and parents sorted by
+    (-depth, least child).  Returns (ops, vertex_order, tree_order, root,
+    start, matrix)."""
+    root, order, child_of, parent_pos = _dfs_numeration(G, T)
+    vertex_order = tuple(child_of)
+    start = gram_matrix(incidence(G, vertex_order), G.labels, len(vertex_order))
+    n = len(order)
+    depth = [0] * n
+    for i in range(n):
+        p = parent_pos[i]
+        depth[i] = 0 if p is None else depth[p] + 1
+    children: dict[int | None, list[int]] = {}
+    for i in range(n):
+        children.setdefault(parent_pos[i], []).append(i)
+    internal = [p for p in children if p is not None]
+    internal.sort(key=lambda p: (-depth[p], min(children[p])))
+    ops = []
+    for p in internal:
+        for c in sorted(children[p], reverse=True):
+            ops.append(RowColOp(c + 1, p + 1))
+    return tuple(ops), vertex_order, tuple(order), root, start, start.apply_ops(ops)
+
+
+def test_one_walk_matches_the_reference_numbering(catalog5):
+    graphs = [G for G in catalog5 if is_connected(G)] + list(named_graphs().values())
+    trees = 0
+    for G in graphs:
+        for T in spanning_trees(G):
+            d = diagonalize_wrt_tree(G, T)
+            got = (d.ops, d.vertex_order, d.tree_order, d.root, d.start, d.matrix)
+            assert got == _reference_diagonalization(G, T), (G.edges, sorted(T))
+            trees += 1
+    assert trees > 500
 
 
 def test_not_spanning_tree():

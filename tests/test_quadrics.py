@@ -7,7 +7,7 @@ from c2lab.corpus import named_graphs
 from c2lab.counting import count_zeros
 from c2lab.errors import BudgetExceeded, PreconditionUnmet
 from c2lab.fields import make_field
-from c2lab.graphs import Graph, family
+from c2lab.graphs import Graph, delete, family
 from c2lab.multipoly import phi
 from c2lab.quadrics import (
     quadric_congruence_rhs,
@@ -133,6 +133,16 @@ def test_congruence_c216_k4_g3():
             F = make_field(q)
             lhs = quadric_union_count(G, F).raw % q**3
             assert lhs == quadric_congruence_rhs(G, F), (G.edges, q)
+
+
+def test_deletion_phi_is_phi_restricted(corpus):
+    # c216's right side counts phi_{G\d} as phi_G at a_d = 0: the trees of
+    # G\d are the trees of G that avoid d
+    for name, G in corpus.items():
+        f = phi(G)
+        for k in (1, 2):
+            for d in itertools.combinations(G.labels, k):
+                assert phi(delete(G, d)) == f.subs_zero(d), (name, d)
 
 
 def test_congruence_rhs_trivial_when_overdetermined():
