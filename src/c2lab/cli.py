@@ -17,7 +17,7 @@ from . import corpus, io
 from .counting import count_reduced, count_zeros, count_zeros_torus
 from .errors import DEFAULT_BUDGET, BadParameter, BudgetExceeded, C2LabError
 from .fields import FqField, make_field
-from .graphs import Graph, census, family, is_connected, spanning_trees
+from .graphs import Graph, census, family, first_spanning_tree, is_connected
 from .invariants import (
     FIELD_FREE_THEOREMS,
     THEOREM_IDS,
@@ -166,7 +166,7 @@ def _cmd_diag(args):
     if args.tree:
         T = frozenset(io.parse_int(x, "tree label") for x in args.tree.split(","))
     else:
-        T = spanning_trees(G)[0]
+        T = first_spanning_tree(G)
     d = diagonalize_wrt_tree(G, T)
     return {
         "graph": _graph_json(gid, G),

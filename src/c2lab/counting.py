@@ -45,6 +45,25 @@ takes one outer assignment per line through the origin, with weight
 q - 1, plus the zero assignment: 1/(q - 1) of the outer assignments.
 Non-homogeneous systems take the plain walk over every outer assignment.
 
+A common zero count of one polynomial P that is linear in the last
+variable v it walks (psi and phi are linear in every edge variable) takes
+one coordinate fewer, at q > 2.  Split P = g v + h (``MLPoly.coeff_and_rest``)
+and walk the pair [g, h] over the other m - 1 coordinates
+(``_walk_eliminated``); the zeros over each point are
+
+    affine:  [g != 0] + q [g = h = 0],
+    torus:   [g != 0 and h != 0] + (q - 1) [g = h = 0],
+
+and since zero-ness of g and h is scale-invariant when P is homogeneous,
+that walk takes the cone too.  Two polynomials on q^(m-1) points cost
+about 2/q of one on q^m.  At q = 2 that is no saving (an eliminated
+c2 --family wheel:7 --space all --q 2 measured 18% slower), so q = 2 keeps
+the plain walk.  So do systems of two or more polynomials,
+``count_zeros_each`` and ``count_reduced``'s fallback: eliminating a
+variable of k polynomials walks 2k of them, and each was measured
+slower: 5-15% on the jacobian systems of ``sing_count``, 5-18% on
+verify c216's lists, 2x on count --family wheel:4 --q 9 --method reduced.
+
 The elimination counter ``count_reduced`` counts over one field at a time.
 Each subsystem of its recursion, ``_count_system``, first goes through
 ``_prepare``, the rule of every count: polynomials that vanish mod p are
@@ -66,7 +85,7 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, PreconditionUnmet, check_budget
 from .fields import FqField
-from .graphs import Graph, spanning_trees
+from .graphs import Graph, first_spanning_tree
 from .matform import PolyMatrix, block_rank, p_matrix
 from .multipoly import MLPoly, phi
 
@@ -373,15 +392,43 @@ def _prepare(polys, F: FqField, n_vars: int, torus: bool):
     return fixed, walked, used, cone
 
 
+def _walk_eliminated(P: MLPoly, F: FqField, used, *, torus: bool, cone: bool) -> int:
+    """Zeros of P in F_q^used (or the torus), for P linear in its last
+    variable v: P = g v + h is walked as the pair [g, h] over the other
+    coordinates, and each point counts the v that solve g v + h = 0."""
+    *rest, v = used
+    compiled = _compile(P.coeff_and_rest(v), F, {x: i for i, x in enumerate(rest)})
+    evaluate = _Bilinear(compiled, F, len(rest), torus)
+    whole = F.q - 1 if torus else F.q  # the v that solve 0 v + 0 = 0
+
+    def tally(outer) -> int:
+        g, h = (zero for vals in evaluate(outer) for zero in vals == 0)
+        # one root -h/g where g != 0 (on the torus, where h != 0 too)
+        roots = len(g) - int(np.count_nonzero(g | h if torus else g))
+        return roots + whole * int(np.count_nonzero(g & h))
+
+    return _walk(tally, F, len(rest), torus=torus, cone=cone)
+
+
 def _count_common_zeros(polys, F: FqField, n_vars: int, torus: bool) -> int:
     """Exact number of common zeros in affine space (or the torus), by one
-    walk of the polynomials that are not constant mod p."""
+    walk of the polynomials that are not constant mod p; a lone polynomial
+    linear in its last variable, at q > 2, is walked with that variable
+    eliminated (see the module docstring)."""
     fixed, walked, used, cone = _prepare(polys, F, n_vars, torus)
     if 0 in fixed.values():
         return 0
     m = len(used)
-    compiled = _compile(walked, F, {v: i for i, v in enumerate(used)})
-    raw = _walk_zeros(compiled, F, m, torus=torus, cone=cone)
+    if (
+        len(walked) == 1
+        and F.q > 2
+        and m >= 2
+        and all(mono.count(used[-1]) <= 1 for mono, _ in walked[0].terms())
+    ):
+        raw = _walk_eliminated(walked[0], F, used, torus=torus, cone=cone)
+    else:
+        compiled = _compile(walked, F, {v: i for i, v in enumerate(used)})
+        raw = _walk_zeros(compiled, F, m, torus=torus, cone=cone)
     return raw * (F.q - 1 if torus else F.q) ** (n_vars - m)
 
 
@@ -567,7 +614,7 @@ def sing_count(
         polys = [f] + [f.coeff_and_rest(k)[0] for k in sorted(G.labels)]
         return count_zeros(polys, F, N, budget=budget)
     if method == "jacobian_tree":
-        T = spanning_trees(G)[0]  # the least tree, in bitmask and in sorted-label order
+        T = first_spanning_tree(G)  # the least tree, in bitmask and in sorted-label order
         polys = [f] + [f.coeff_and_rest(k)[0] for k in sorted(T)]
         return count_zeros(polys, F, N, budget=budget)
     if method == "rank":

@@ -9,7 +9,9 @@ subquotient always refer to the original graph's edges.
 
 Spanning trees are listed by one depth-first walk that never puts in an
 edge closing a cycle (``spanning_tree_labels``); it yields labels, not
-fixed-width masks, so neither the edge count nor the labels are bounded.
+fixed-width masks, and keeps its levels on its own stack, so neither the
+edge count, the labels nor the depth of the walk are bounded.  The first
+of them, the least, is one greedy pass (``first_spanning_tree``).
 
 The (I, J) scans of the census, both admissibility checks and the S_t sums
 share one batched kernel (``scan_pairs``): the pairs of each size come in
@@ -215,10 +217,13 @@ def spanning_tree_labels(G: Graph) -> list[tuple[int, ...]]:
     come in ascending bitmask order.  A link per chosen edge joins the two
     classes of the forest chosen so far under the lesser root, so a
     vertex's root is its class's least vertex; an edge whose two ends share
-    a class is skipped, so the walk visits only forests and recurses V - 1
-    deep.  It does not insist on connectivity, so the polynomial layer can
-    map disconnected graphs to the zero polynomial.
+    a class is skipped, so the walk visits only forests, V - 1 edges deep.
+    The walk keeps its levels on an explicit stack, so no path is too long
+    for it.  It does not insist on connectivity, so the polynomial layer
+    can map disconnected graphs to the zero polynomial.
     """
+    if G.vertex_count == 1:
+        return [()]
     order = sorted(range(len(G.edges)), key=G.labels.__getitem__, reverse=True)
     ends = [G.edges[i] for i in order]
     labels = [G.labels[i] for i in order]
@@ -226,30 +231,70 @@ def spanning_tree_labels(G: Graph) -> list[tuple[int, ...]]:
     up = list(range(G.vertex_count + 1))  # a root is its own entry
     trees: list[tuple[int, ...]] = []
     chosen: list[int] = []  # descending
-
-    def walk(d: int, left: int) -> None:
-        for e in range(N - left, d - 1, -1):
+    # the positions still to try at each level, kept on a stack with the
+    # root that the level's chosen edge linked: positions e down to the one
+    # after the previous level's edge, while ``left`` edges remain to choose
+    stack: list[tuple] = []
+    left = G.vertex_count - 1
+    level = iter(range(N - left, -1, -1))
+    while True:
+        for e in level:
             a, b = ends[e]
             while up[a] != a:
                 a = up[a]
             while up[b] != b:
                 b = up[b]
             if a != b:
+                if left == 1:  # only when V = 2
+                    trees.append((labels[e],))
+                    continue
+                if a > b:
+                    a, b = b, a
+                up[b] = a
                 chosen.append(labels[e])
-                if left == 1:
-                    trees.append(tuple(reversed(chosen)))
-                else:
-                    if a > b:
-                        a, b = b, a
-                    up[b] = a
-                    walk(e + 1, left - 1)
+                if left == 2:  # the last level needs no link: list its edges here
+                    for f in range(N - 1, e, -1):
+                        a, c = ends[f]
+                        while up[a] != a:
+                            a = up[a]
+                        while up[c] != c:
+                            c = up[c]
+                        if a != c:
+                            trees.append((labels[f], *reversed(chosen)))
                     up[b] = b
-                chosen.pop()
+                    chosen.pop()
+                    continue
+                stack.append((level, b))
+                left -= 1
+                level = iter(range(N - left, e, -1))
+                break
+        else:  # this level is done: take back the previous level's edge
+            if not stack:
+                return trees
+            level, b = stack.pop()
+            up[b] = b
+            chosen.pop()
+            left += 1
 
-    if G.vertex_count == 1:
-        return [()]
-    walk(0, G.vertex_count - 1)
-    return trees
+
+def first_spanning_tree(G: Graph) -> frozenset:
+    """``spanning_trees(G)[0]`` without listing the others: one greedy pass
+    over the edges by ascending label keeps each edge that joins two
+    classes, linked as in ``_classes``.  Its tree is the minimum one for
+    the weights 2^label, that is the least ``edge_mask``."""
+    up = list(range(G.vertex_count + 1))
+    tree = []
+    for lab, (a, b) in sorted(zip(G.labels, G.edges)):
+        while up[a] != a:
+            up[a] = a = up[up[a]]
+        while up[b] != b:
+            up[b] = b = up[up[b]]
+        if a != b:
+            up[max(a, b)] = min(a, b)
+            tree.append(lab)
+    if len(tree) != G.vertex_count - 1:
+        raise NotConnected("spanning trees require a connected graph")
+    return frozenset(tree)
 
 
 def spanning_trees(G: Graph) -> list[frozenset]:

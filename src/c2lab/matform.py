@@ -51,22 +51,26 @@ class PolyMatrix:
         return det_sparse(rows, self.dim)
 
     def apply_op(self, op: RowColOp) -> "PolyMatrix":
-        d = self.dim
-        i, j = op.source - 1, op.target - 1
-        if not (0 <= i < d and 0 <= j < d) or i == j:
-            raise BadIndices(f"row/col op ({op.source},{op.target}) out of range")
-        rows = [list(r) for r in self.entries]
-        for c in range(d):
-            rows[j][c] = rows[j][c] + rows[i][c]
-        for r in range(d):
-            rows[r][j] = rows[r][j] + rows[r][i]
-        return PolyMatrix(tuple(tuple(r) for r in rows))
+        return self.apply_ops((op,))
 
     def apply_ops(self, ops) -> "PolyMatrix":
-        m = self
+        """The ops in turn, on one working copy of the rows.  A zero source
+        entry leaves its target as it is, so an op makes one addition per
+        nonzero entry of its source row and column."""
+        d = self.dim
+        rows = [list(r) for r in self.entries]
         for op in ops:
-            m = m.apply_op(op)
-        return m
+            i, j = op.source - 1, op.target - 1
+            if not (0 <= i < d and 0 <= j < d) or i == j:
+                raise BadIndices(f"row/col op ({op.source},{op.target}) out of range")
+            src, dst = rows[i], rows[j]
+            for c in range(d):
+                if not src[c].is_zero:
+                    dst[c] = dst[c] + src[c]
+            for row in rows:
+                if not row[i].is_zero:
+                    row[j] = row[j] + row[i]
+        return PolyMatrix(tuple(map(tuple, rows)))
 
     def variable_occurrences(self, label: int) -> list[tuple[int, int]]:
         """1-based positions of entries whose polynomial involves a_label."""
@@ -203,17 +207,24 @@ def diagonalize_wrt_tree(G: Graph, T) -> TreeDiagonalization:
     vertex_order: list[int] = []
     below = []  # (depth, parent position, position) of each edge not at the root
 
-    def walk(v: int, came_by: int | None, parent: int, depth: int) -> None:
-        for lab, w in adj[v]:
+    # the preorder walk, on an explicit stack so that no tree is too deep for
+    # it: per vertex on the path from the root, its neighbours not yet
+    # tried, the edge that reached it, that edge's position, and the depth
+    # of the edges below it
+    stack = [(iter(adj[root]), None, 0, 0)]
+    while stack:
+        rest, came_by, parent, depth = stack[-1]
+        for lab, w in rest:
             if lab != came_by:
                 tree_order.append(lab)
                 vertex_order.append(w)
                 at = len(tree_order)  # 1-based, as RowColOp counts
                 if parent:
                     below.append((depth, parent, at))
-                walk(w, lab, at, depth + 1)
-
-    walk(root, None, 0, 0)
+                stack.append((iter(adj[w]), lab, at, depth + 1))
+                break
+        else:
+            stack.pop()
     below.sort(key=lambda e: (-e[0], e[1], -e[2]))
     ops = tuple(RowColOp(at, parent) for _, parent, at in below)
     start = gram_matrix(incidence(G, vertex_order), G.labels, len(vertex_order))

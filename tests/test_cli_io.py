@@ -70,6 +70,22 @@ def test_cli_poly_keeps_labels_beyond_64(capsys):
     assert out == " ".join(f"+1*a{i}" for i in range(1, 71)) + "\n"
 
 
+def test_cli_poly_and_diag_on_a_long_path(capsys):
+    # 1100 edges: deeper than Python's recursion limit, which the spanning
+    # tree and diagonalization walks no longer meet
+    code, out = run_cli(capsys, "poly", "--family", "path:1100", "--which", "phi")
+    assert code == 0
+    assert out.strip() == "+1*" + "*".join(f"a{k}" for k in range(1, 1101))
+    code, out = run_cli(capsys, "diag", "--family", "path:1100")
+    assert code == 0
+    report = json.loads(out)
+    assert report["tree"] == list(range(1, 1101)) and report["root"] == 1
+    assert len(report["ops"]) == 1099 and len(report["matrix"]) == 1100
+    matrix = report["matrix"]  # the path's own tree leaves it diagonal
+    assert [matrix[k][k] for k in range(1100)] == [f"+1*a{k}" for k in range(1, 1101)]
+    assert all(e == "0" for k, row in enumerate(matrix) for e in row[:k] + row[k + 1 :])
+
+
 def test_cli_poly_from_file(tmp_path, capsys):
     path = tmp_path / "triangle.g"
     path.write_text(io.graph_to_text(family("cycle", 3)))

@@ -582,6 +582,132 @@ def test_cone_route_of_rank_histogram_needs_one_entry_degree(monkeypatch):
     assert routes(calls) == [False, True]
 
 
+# -- one polynomial with its last variable eliminated -----------------------------
+#
+# The reference is the plain walk: the whole polynomial compiled and walked
+# over all of its coordinates, as every count was before the elimination.
+
+def plain_walk_count(polys, F, n, torus=False):
+    fixed, walked, used, cone = counting._prepare(polys, F, n, torus)
+    if 0 in fixed.values():
+        return 0
+    compiled = counting._compile(walked, F, {v: i for i, v in enumerate(used)})
+    raw = counting._walk_zeros(compiled, F, len(used), torus=torus, cone=cone)
+    return raw * (F.q - 1 if torus else F.q) ** (n - len(used))
+
+
+def spy_eliminations(mp):
+    """Record the polynomial of every later ``_walk_eliminated`` call."""
+    eliminated = counting._walk_eliminated
+    calls = []
+
+    def spy(P, *args, **kwargs):
+        calls.append(P)
+        return eliminated(P, *args, **kwargs)
+
+    mp.setattr(counting, "_walk_eliminated", spy)
+    return calls
+
+
+@pytest.mark.parametrize("q", (3, 4, 5, 7, 8, 9))
+def test_eliminated_count_matches_plain_walk_across_corpus(q, corpus, monkeypatch):
+    F = make_field(q)
+    calls = spy_eliminations(monkeypatch)
+    for name, G in corpus.items():
+        N = G.edge_count
+        if (name, q) not in CONE_GRID:
+            continue
+        for P in (psi(G), phi(G)):
+            for torus, count in ((False, count_zeros), (True, count_zeros_torus)):
+                del calls[:]
+                assert count([P], F, N).raw == plain_walk_count([P], F, N, torus), (name, torus)
+                assert calls == ([P] if len(P.variables()) >= 2 else []), name
+
+
+@st.composite
+def linear_in_last_st(draw):
+    """(q, P, n): P = g a_n + h in n variables, q^n <= 2 * 10^5, with g and h
+    in a_1..a_{n-1}, each squared or cubed at will; g is a nonzero
+    constant, an ordinary polynomial or one whose coefficients are all
+    multiples of p (so g = 0 mod p), and h may be 0 or of another degree
+    than g a_n."""
+    q = draw(st.sampled_from((3, 4, 5, 7, 8, 9)))
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    n = draw(st.integers(2, max(k for k in range(2, 18) if q**k <= 2 * 10**5)))
+    mono = st.lists(st.integers(1, n - 1), min_size=0, max_size=3)
+
+    def poly(scale, min_size):
+        monos = draw(st.lists(mono, min_size=min_size, max_size=4))
+        coeffs = draw(st.lists(st.integers(1, 30), min_size=len(monos), max_size=len(monos)))
+        return MLPoly({tuple(sorted(m)): scale * c for m, c in zip(monos, coeffs)})
+
+    kind = draw(st.sampled_from(("constant", "ordinary", "ordinary", "vanishing")))
+    g = MLPoly.constant(draw(st.integers(1, 30))) if kind == "constant" else poly(
+        p if kind == "vanishing" else 1, 1
+    )
+    return q, g * a(n) + poly(1, 0), n
+
+
+@pytest.mark.parametrize("target", (1 << 16, 64))
+@given(data=st.data(), torus=st.booleans())
+@settings(max_examples=80, deadline=None)
+@seed(20130)
+def test_eliminated_count_matches_plain_walk_on_random_polynomials(target, data, torus):
+    # with a 64-point block target the walks span several blocks, so the
+    # cone of a homogeneous P and the plain walk of the others both have
+    # outer assignments
+    q, P, n = data.draw(linear_in_last_st())
+    F = make_field(q)
+    count = count_zeros_torus if torus else count_zeros
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_BLOCK_TARGET", target)
+        calls = spy_eliminations(mp)
+        assert count([P], F, n + 1).raw == plain_walk_count([P], F, n + 1, torus)
+    assert calls == ([P] if len(P.variables()) >= 2 else [])
+
+
+def test_eliminated_count_of_small_cases():
+    F3, F4, F9 = make_field(3), make_field(4), make_field(9)
+    # m = 2: a1 a2 - 1 has q - 1 zeros, all on the torus
+    assert count_zeros([a(1) * a(2) - 1], F3, 2).raw == 2
+    assert count_zeros_torus([a(1) * a(2) - 1], F9, 2).raw == 8
+    # g = 3 a1 vanishes mod 3, so a1^2 + 3 a1 a2 + 1 is a1^2 + 1: no root in F_3
+    assert count_zeros([a(1) ** 2 + 3 * a(1) * a(2) + 1], F3, 2).raw == 0
+    # over F_4, a1^2 + a1 + 1 = 0 has 2 roots, each with every a2
+    assert count_zeros([a(1) ** 2 + a(1) + 1 + 2 * a(1) * a(2)], F4, 2).raw == 8
+    for P, F in (
+        (a(1) * a(2) - 1, F3),
+        (a(1) ** 2 + 3 * a(1) * a(2) + 1, F3),
+        (a(1) ** 2 * a(3) + a(2) ** 3 + a(1), F9),
+    ):
+        for torus in (False, True):
+            count = count_zeros_torus if torus else count_zeros
+            assert count([P], F, 4).raw == plain_walk_count([P], F, 4, torus), P
+
+
+def test_elimination_route_needs_one_polynomial_linear_in_its_last_variable(monkeypatch):
+    calls, walks = spy_eliminations(monkeypatch), spy_walks(monkeypatch)
+    F2, F3 = make_field(2), make_field(3)
+    P = psi(family("wheel", 3))
+    count_zeros([P], F3, 6)
+    count_zeros_torus([P], F3, 6)
+    assert calls == [P, P] and [m for _, m, _ in walks] == [5, 5]
+    del calls[:], walks[:]
+    count_zeros([P], F2, 6)  # q = 2
+    count_zeros([P, phi(family("wheel", 3))], F3, 6)  # two polynomials
+    count_zeros([a(1) * a(2) ** 2 + a(1)], F3, 2)  # squared in its last variable
+    # two polynomials left after _prepare sets the constant 3 aside
+    count_zeros([a(1) + 3 * a(2), a(2) ** 2 - 1, MLPoly.constant(3)], F3, 2)
+    count_zeros([a(4)], F3, 6)  # one coordinate
+    count_zeros_each([P, P], F3, 6)
+    count_zeros_each([P], F3, 6)
+    assert calls == []
+    assert [m for _, m, _ in walks] == [6, 6, 2, 2, 1, 6, 6]
+    # constants mod p that _prepare sets aside leave one polynomial to eliminate
+    count_zeros([a(1) * a(2) + 1, 3 * a(1), MLPoly.constant(3)], F3, 2)
+    assert calls == [a(1) * a(2) + 1]
+
+
 # -- the bilinear evaluator against the elementwise one it replaced -------------
 #
 # The oracle below is the block evaluator the matrix product replaced: one

@@ -271,6 +271,24 @@ def test_first_spanning_tree_is_least_in_sorted_label_order(corpus, catalog6):
         assert trees[0] == min(trees, key=sorted), G.edges
 
 
+def test_first_spanning_tree_is_the_first_enumerated(corpus, catalog6):
+    # one greedy pass by ascending label gives the least tree in bitmask
+    # order without listing the others
+    wheels = [family("wheel", k) for k in range(3, 8)]
+    for G in catalog6 + list(corpus.values()) + wheels:
+        assert graphs.first_spanning_tree(G) == spanning_trees(G)[0], G.edges
+    with pytest.raises(NotConnected):
+        graphs.first_spanning_tree(Graph(((1, 2), (3, 4)), 4))
+
+
+def test_spanning_trees_of_a_long_path():
+    # the walk keeps its own stack, so 1100 levels are no deeper for it than
+    # for Python's recursion limit
+    G = family("path", 1100)
+    assert spanning_tree_labels(G) == [tuple(range(1, 1101))]
+    assert graphs.first_spanning_tree(G) == frozenset(range(1, 1101))
+
+
 def test_spanning_trees_beyond_64_edges():
     trees = spanning_trees(family("cycle", 70))
     assert len(trees) == 70

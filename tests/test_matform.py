@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from c2lab.errors import NotConnected, NotSpanningTree
+from c2lab.errors import BadIndices, NotConnected, NotSpanningTree
 from c2lab.fields import make_field
 from c2lab.corpus import named_graphs
 from c2lab.graphs import Graph, family, incidence, is_connected, spanning_trees
@@ -181,6 +181,51 @@ def test_one_walk_matches_the_reference_numbering(catalog5):
             assert got == _reference_diagonalization(G, T), (G.edges, sorted(T))
             trees += 1
     assert trees > 500
+
+
+def _reference_apply_op(M: PolyMatrix, op: RowColOp) -> PolyMatrix:
+    """One op on a full copy of the matrix, every entry added, as
+    ``PolyMatrix.apply_op`` did before ``apply_ops`` kept one working copy."""
+    d = M.dim
+    i, j = op.source - 1, op.target - 1
+    rows = [list(r) for r in M.entries]
+    for c in range(d):
+        rows[j][c] = rows[j][c] + rows[i][c]
+    for r in range(d):
+        rows[r][j] = rows[r][j] + rows[r][i]
+    return PolyMatrix(tuple(tuple(r) for r in rows))
+
+
+def test_apply_ops_matches_one_op_at_a_time(catalog5):
+    graphs = [G for G in catalog5 if is_connected(G)] + list(named_graphs().values())
+    for G in graphs:
+        for T in spanning_trees(G):
+            d = diagonalize_wrt_tree(G, T)
+            M = d.start
+            for op in d.ops:
+                M = _reference_apply_op(M, op)
+            assert M == d.matrix, (G.edges, sorted(T))
+    P = p_matrix(family("wheel", 4))
+    ops = (RowColOp(1, 2), RowColOp(3, 1), RowColOp(4, 2), RowColOp(2, 4))
+    M = P
+    for op in ops:
+        M = _reference_apply_op(M, op)
+    assert P.apply_ops(ops) == M
+    with pytest.raises(BadIndices):
+        P.apply_ops((RowColOp(1, 2), RowColOp(5, 1)))
+
+
+def test_diagonalization_of_a_long_path():
+    # the walk keeps its own stack, so a tree 1100 edges deep is no deeper
+    # for it than for Python's recursion limit
+    G = family("path", 1100)
+    d = diagonalize_wrt_tree(G, G.labels)
+    assert d.root == 1 and d.tree_order == tuple(range(1, 1101))
+    assert d.vertex_order == tuple(range(2, 1102))
+    assert d.ops == tuple(RowColOp(k + 1, k) for k in range(1099, 0, -1))
+    # the path's own tree leaves the matrix diagonal
+    assert all(row[i] == a(i + 1) for i, row in enumerate(d.matrix.entries))
+    assert sum(not e.is_zero for row in d.matrix.entries for e in row) == 1100
 
 
 def test_not_spanning_tree():
